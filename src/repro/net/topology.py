@@ -149,8 +149,6 @@ class TorusTopology:
         return iter(range(self.num_nodes))
 
     # ------------------------------------------------------------------
-    # batched (vectorized) forms of the routing queries above
-    # ------------------------------------------------------------------
     def coords_arrays(self, nodes: np.ndarray
                       ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Vectorized :meth:`coords`: linear ids -> (x, y, z) arrays."""
@@ -158,95 +156,6 @@ class TorusTopology:
         nodes = np.asarray(nodes, dtype=np.int64)
         return (nodes % x_dim, (nodes // x_dim) % y_dim,
                 nodes // (x_dim * y_dim))
-
-    def hop_distance_arrays(self, src: np.ndarray,
-                            dst: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`hop_distance` over message batches."""
-        total = np.zeros(len(np.asarray(src)), dtype=np.int64)
-        cs = self.coords_arrays(src)
-        cd = self.coords_arrays(dst)
-        for axis in range(3):
-            d = np.abs(cs[axis] - cd[axis])
-            total += np.minimum(d, self.dims[axis] - d)
-        return total
-
-    def route_arrays(self, src: np.ndarray, dst: np.ndarray) -> dict:
-        """All dimension-ordered routes of a message batch, expanded.
-
-        Returns a dict of arrays describing every directed link of every
-        route, exactly as :meth:`route` + :meth:`link_direction` would
-        enumerate them message by message:
-
-        ``hops``
-            per-message total hop count ``(n,)``;
-        ``first_dir``
-            per-message direction index of the *first* link
-            (``axis * 2 + (step < 0)``, see :data:`DIRECTION_NAMES`);
-            undefined (0) for zero-hop messages;
-        ``link_node`` / ``link_dir`` / ``link_msg``
-            per-hop arrays ``(total_hops,)``: the from-node, direction
-            index and owning message index of each directed link, in
-            message order with each route in hop order.  A directed
-            link is uniquely ``link_node * 6 + link_dir``.
-        """
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
-        n = len(src)
-        x_dim, y_dim, _ = self.dims
-        cs = self.coords_arrays(src)
-        cd = self.coords_arrays(dst)
-        per_axis_hops = []
-        per_axis_step = []
-        for axis in range(3):
-            size = self.dims[axis]
-            forward = (cd[axis] - cs[axis]) % size
-            backward = (cs[axis] - cd[axis]) % size
-            per_axis_hops.append(np.minimum(forward, backward))
-            # shortest way, forward on ties — matches _axis_step
-            per_axis_step.append(np.where(forward <= backward, 1, -1)
-                                 .astype(np.int64))
-        hx, hy, hz = per_axis_hops
-        hops = hx + hy + hz
-        first_axis = np.where(hx > 0, 0, np.where(hy > 0, 1, 2))
-        first_step = np.choose(first_axis, per_axis_step)
-        first_dir = first_axis * 2 + (first_step < 0)
-
-        total = int(hops.sum())
-        if total == 0:
-            empty = np.zeros(0, dtype=np.int64)
-            return {"hops": hops, "first_dir": first_dir,
-                    "link_node": empty, "link_dir": empty,
-                    "link_msg": empty}
-        link_msg = np.repeat(np.arange(n, dtype=np.int64), hops)
-        starts = np.zeros(n, dtype=np.int64)
-        np.cumsum(hops[:-1], out=starts[1:])
-        within = np.arange(total, dtype=np.int64) - starts[link_msg]
-        # dimension order: hop j walks X for j < hx, then Y, then Z
-        axis = np.where(within < hx[link_msg], 0,
-                        np.where(within < (hx + hy)[link_msg], 1, 2))
-        step = np.choose(axis, [a[link_msg] for a in per_axis_step])
-        j = within - np.choose(
-            axis, [np.zeros(total, dtype=np.int64), hx[link_msg],
-                   (hx + hy)[link_msg]])
-        # from-coordinates: axes already routed sit at the destination,
-        # axes not yet routed still at the source, the active axis at
-        # its j-th intermediate position
-        fx = np.where(axis == 0,
-                      (cs[0][link_msg] + j * per_axis_step[0][link_msg])
-                      % self.dims[0], cd[0][link_msg])
-        fy = np.where(axis < 1, cs[1][link_msg],
-                      np.where(axis == 1,
-                               (cs[1][link_msg]
-                                + j * per_axis_step[1][link_msg])
-                               % self.dims[1], cd[1][link_msg]))
-        fz = np.where(axis < 2, cs[2][link_msg],
-                      (cs[2][link_msg] + j * per_axis_step[2][link_msg])
-                      % self.dims[2])
-        link_node = fx + fy * x_dim + fz * x_dim * y_dim
-        link_dir = axis * 2 + (step < 0)
-        return {"hops": hops, "first_dir": first_dir,
-                "link_node": link_node, "link_dir": link_dir,
-                "link_msg": link_msg}
 
     def link_direction(self, src: int, dst: int) -> str:
         """UPC event suffix of the directed link src->dst (e.g. "XP")."""

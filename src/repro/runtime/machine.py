@@ -50,7 +50,6 @@ from ..parallel import (
     cache_context,
     get_jobs,
     parallel_map,
-    set_vectorize,
     worker_shared,
 )
 from .mpi import CommResult, SimMPI
@@ -128,26 +127,6 @@ def _program_to_work(program: Program) -> ProcessWork:
         for loop in program.loops()
     ]
     return ProcessWork(loops=loops)
-
-
-def _simulate_node_class(mode: OperatingMode,
-                         mem_config: NodeMemoryConfig,
-                         work: ProcessWork,
-                         residents: int,
-                         vectorize: bool = True
-                         ) -> Tuple[List[float], Dict[str, int]]:
-    """Pool target: simulate one node equivalence class from scratch.
-
-    Builds a throwaway node with the class's configuration, runs the
-    class's work, and returns only what the job engine replicates to the
-    class members: the per-slot compute cycles and the named counter
-    pulses.  ``vectorize`` carries the parent's engine switch across
-    the process-pool boundary (workers inherit only the env default).
-    """
-    set_vectorize(vectorize)
-    node = ComputeNode(node_id=0, mode=mode, mem_config=mem_config)
-    result = node.run([work] * residents)
-    return result.process_cycles, result.events
 
 
 def _simulate_node_class_shared(residents: int
@@ -446,11 +425,6 @@ class Job:
             _NODE_CLASS_HITS.inc(len(nodes) - len(keys))
             rep_samplers: Dict[Tuple, _timeline.NodeTimelineSampler] = {}
             for node in nodes:
-                if fault_ctx is not None:
-                    # node-level faults land on every member's own UPC
-                    # unit, not just the class representative's; a
-                    # node_failure raises NodeFailure out of the job
-                    fault_ctx.visit_node(node, phase="compute")
                 residents = placement.ranks_on_node(node.node_id)
                 if self.memoize:
                     key = (len(residents),) + job_key
@@ -459,6 +433,12 @@ class Job:
                 cycles, events = class_results[key]
                 if not simulated.get(node.node_id):
                     node.pulse_events(events)
+                if fault_ctx is not None:
+                    # node-level faults land on every member's own UPC
+                    # unit, after its compute counts on every engine
+                    # (the representative counted inside its run); a
+                    # node_failure raises NodeFailure out of the job
+                    fault_ctx.visit_node(node, phase="compute")
                 for slot, rank in enumerate(residents):
                     compute_cycles[rank] = cycles[slot]
                 if sampling is not None:
@@ -603,9 +583,9 @@ class Job:
                      for slot in range(len(residents))
                      for core in assignment[slot]})
 
-        with _span("phase.dump", files=len(session.dump_paths)
-                   ) as dump_span:
+        with _span("phase.dump") as dump_span:
             session.mpi_finalize()
+            dump_span.set("files", len(session.dump_paths))
             dump_bytes = [0] * machine.num_nodes
             for path in session.dump_paths:
                 node_id = int(path.rsplit("node", 1)[1].split(".")[0])

@@ -9,7 +9,8 @@ using the job's rank placement:
   decomposition; co-resident partners (Virtual Node Mode!) communicate
   through the shared L3 instead of the torus;
 * **ALLTOALL** — personalised all-to-all (FT's transpose): every rank
-  sends an equal slice to every other rank;
+  sends an equal slice to every other rank.  Costed as one node-pair
+  flow per ordered pair of nodes, never as its rank pairs;
 * **PAIRWISE** — fixed-partner exchange (IS's ranking step);
 * **ALLREDUCE / BROADCAST** — the collective tree network;
 * **BARRIER** — the global barrier network.
@@ -37,6 +38,7 @@ from ..net import (
     TorusTopology,
 )
 from ..net.topology import partition_shape
+from ..net.torus import first_occurrence
 from ..parallel import get_vectorize
 from .process import JobPlacement
 
@@ -52,6 +54,14 @@ _LINE = 128
 #: Below this many messages the vectorized lowering isn't worth its
 #: array setup (mirrors the torus phase-engine threshold).
 _VECTOR_MIN_TRIPLES = 16
+
+
+def _off_diagonal(square: np.ndarray) -> np.ndarray:
+    """The entries ``[a, b]`` with ``a != b`` of a square matrix, in
+    row-major order: a row-major walk skips the diagonal every
+    ``n + 1`` entries."""
+    n = square.shape[0]
+    return square.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n].reshape(-1)
 
 
 @dataclass
@@ -174,31 +184,6 @@ class SimMPI:
             return out
         raise ValueError(f"{op.kind} is not a point-to-point pattern")
 
-    def _message_arrays(self, op: CommOp):
-        """(src, dst, bytes) int64 arrays for one repeat of ``op``.
-
-        The array twin of :meth:`_messages_for`, in the identical
-        message order.  ALLTOALL — the only pattern whose message count
-        is quadratic in ranks — is built directly as arrays; the others
-        are converted from the scalar lowering.
-        """
-        if op.kind is CommKind.ALLTOALL:
-            n = self.placement.num_ranks
-            if n == 1:
-                empty = np.zeros(0, dtype=np.int64)
-                return empty, empty, empty.copy()
-            slice_bytes = op.bytes_per_rank // (n - 1)
-            ranks = np.arange(n, dtype=np.int64)
-            src = np.repeat(ranks, n - 1)
-            # row-major with the diagonal removed: for each r, every
-            # q != r in ascending order — the scalar loop's order
-            dst = np.broadcast_to(ranks, (n, n))[~np.eye(n, dtype=bool)]
-            size = np.full(src.shape, slice_bytes, dtype=np.int64)
-            return src, dst, size
-        arr = np.asarray(self._messages_for(op),
-                         dtype=np.int64).reshape(-1, 3)
-        return arr[:, 0], arr[:, 1], arr[:, 2]
-
     def _rank_to_node(self) -> np.ndarray:
         """Per-rank home node, cached (placement is fixed per job)."""
         if self._node_by_rank is None:
@@ -235,57 +220,108 @@ class SimMPI:
         intra_max = max(intra_cycles_per_rank.values(), default=0.0)
         return phase, intra_max
 
-    def _cost_arrays(self, src_r: np.ndarray, dst_r: np.ndarray,
-                     size: np.ndarray, balanced: bool,
-                     result: CommResult):
-        """Batched lowering; byte-identical to :meth:`_cost_triples`.
+    def _alltoall_flows(self, op: CommOp, result: CommResult):
+        """ALLTOALL as node-pair flows, built from the block placement.
 
-        Integer accounting (bytes, DDR lines) commutes exactly; the
-        only float accumulation — per-rank shared-memory cycles — is
+        Every rank sends one ``slice`` to every other rank, so the
+        ``c_a * c_b`` messages from node a's ranks to node b's form one
+        flow, and flows listed in (a, b) order are in first-message
+        order.  Only the intra-node messages are replayed, for the
+        shared-memory float accumulation: ``c_a - 1`` equal terms per
+        rank, at most three.
+        """
+        n = self.placement.num_ranks
+        empty = np.zeros(0, dtype=np.int64)
+        flows = (empty, empty, empty, empty)
+        if n == 1:
+            return flows, 0.0
+        slice_bytes = op.bytes_per_rank // (n - 1)
+        if slice_bytes == 0:
+            return flows, 0.0
+        node_of = self._rank_to_node()
+        # runs of consecutive ranks that share a node
+        starts = np.flatnonzero(np.diff(node_of, prepend=-1))
+        block_node = node_of[starts]
+        counts = np.diff(np.append(starts, n))
+        if np.bincount(block_node).max() > 1:
+            raise ValueError("ALLTOALL lowering needs each node's ranks "
+                             "to be consecutive")
+
+        # shared-memory path: the scalar loop's per-rank accumulation
+        result.intra_node_bytes += slice_bytes * int(
+            (counts * (counts - 1)).sum())
+        intra_max = 0.0
+        for _ in range(int(counts.max()) - 1):
+            intra_max = (intra_max + SHM_OVERHEAD_CYCLES
+                         + slice_bytes / SHM_BYTES_PER_CYCLE)
+
+        blocks = len(block_node)
+        if blocks == 1:
+            return flows, intra_max
+        src = np.repeat(block_node, blocks - 1)
+        dst = _off_diagonal(np.broadcast_to(block_node, (blocks, blocks)))
+        messages = _off_diagonal(np.multiply.outer(counts, counts))
+        size = np.broadcast_to(np.int64(slice_bytes), src.shape)
+        return (src, dst, size, messages), intra_max
+
+    def _message_flows(self, triples: List[Tuple[int, int, int]],
+                       result: CommResult):
+        """HALO/PAIRWISE: one flow per inter-node message (O(ranks)).
+
+        The only float accumulation — per-rank shared-memory cycles — is
         replayed as a loop over just the intra-node messages, in the
         scalar message order, so every intermediate rounding matches.
         """
-        live = size > 0
-        src_r, dst_r, size = src_r[live], dst_r[live], size[live]
+        arr = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+        arr = arr[arr[:, 2] > 0]
         node_of = self._rank_to_node()
-        src_node = node_of[src_r]
-        dst_node = node_of[dst_r]
+        src_node = node_of[arr[:, 0]]
+        dst_node = node_of[arr[:, 1]]
         intra = src_node == dst_node
 
-        # shared-memory path: exact float replay (few messages — only
-        # co-resident pairs land here)
         intra_cycles_per_rank: Dict[int, float] = {}
-        for src, sz in zip(src_r[intra].tolist(), size[intra].tolist()):
+        for src, sz in zip(arr[intra, 0].tolist(), arr[intra, 2].tolist()):
             intra_cycles_per_rank[src] = (
                 intra_cycles_per_rank.get(src, 0.0)
                 + SHM_OVERHEAD_CYCLES + sz / SHM_BYTES_PER_CYCLE)
-        result.intra_node_bytes += int(size[intra].sum())
+        result.intra_node_bytes += int(arr[intra, 2].sum())
+        intra_max = max(intra_cycles_per_rank.values(), default=0.0)
 
         inter = ~intra
-        isrc, idst = src_node[inter], dst_node[inter]
-        isize = size[inter]
-        result.inter_node_bytes += int(isize.sum())
-        # DDR staging lines, charged to both endpoints.  int(size *
-        # fraction) truncates toward zero; astype(int64) of the same
-        # float64 product truncates identically for non-negative sizes.
-        lines = (isize * COMM_DDR_FRACTION).astype(np.int64) // _LINE
-        ids = np.empty(2 * isrc.size, dtype=np.int64)
-        ids[0::2] = isrc
-        ids[1::2] = idst
-        vals = np.repeat(lines, 2)
-        if ids.size:
-            acc = np.zeros(int(node_of.max()) + 1, dtype=np.int64)
-            np.add.at(acc, ids, vals)
-            uniq, first_seen = np.unique(ids, return_index=True)
-            for node in uniq[np.argsort(first_seen, kind="stable")]:
-                node = int(node)
-                result.ddr_lines_per_node[node] = (
-                    result.ddr_lines_per_node.get(node, 0)
-                    + int(acc[node]))
-        phase = self.torus.run_phase_arrays(isrc, idst, isize,
-                                            balanced=balanced)
-        intra_max = max(intra_cycles_per_rank.values(), default=0.0)
-        return phase, intra_max
+        size = arr[inter, 2]
+        return ((src_node[inter], dst_node[inter], size,
+                 np.ones_like(size)), intra_max)
+
+    def _cost_flows(self, flows, balanced: bool, result: CommResult):
+        """Cost inter-node flows; byte-identical to :meth:`_cost_triples`.
+
+        Bytes and DDR staging lines are exact integer sums over the
+        flows.  The per-node DDR dict keeps the oracle's insertion
+        order: by the first message touching the node, which charges
+        its source before its destination.
+        """
+        src, dst, size, messages = flows
+        result.inter_node_bytes += int(np.dot(size, messages))
+        if src.size:
+            # DDR staging lines, charged to both endpoints.  int(size *
+            # fraction) truncates toward zero; astype(int64) of the same
+            # float64 product truncates identically for sizes >= 0.
+            lines = ((size * COMM_DDR_FRACTION).astype(np.int64)
+                     // _LINE) * messages
+            num_nodes = self.topology.num_nodes
+            acc = np.zeros(num_nodes, dtype=np.int64)
+            np.add.at(acc, src, lines)
+            np.add.at(acc, dst, lines)
+            # position of each node's first charge in the oracle's
+            # (src, dst, src, dst, ...) sequence
+            first = np.minimum(2 * first_occurrence(src, num_nodes),
+                               2 * first_occurrence(dst, num_nodes) + 1)
+            present = np.flatnonzero(first < 2 * src.size)
+            acc = acc.tolist()
+            for node in present[np.argsort(first[present])].tolist():
+                result.ddr_lines_per_node[node] = acc[node]
+        return self.torus.run_phase_arrays(src, dst, size, balanced,
+                                           messages)
 
     def run(self, op: CommOp) -> CommResult:
         """Cost one CommOp (including its ``repeats``)."""
@@ -306,19 +342,20 @@ class SimMPI:
             return result
 
         balanced = op.kind is CommKind.ALLTOALL
-        if get_vectorize():
-            src_r, dst_r, size = self._message_arrays(op)
-            if src_r.size >= _VECTOR_MIN_TRIPLES:
-                phase, intra_max = self._cost_arrays(
-                    src_r, dst_r, size, balanced, result)
-            else:
-                triples = list(zip(src_r.tolist(), dst_r.tolist(),
-                                   size.tolist()))
-                phase, intra_max = self._cost_triples(
-                    triples, balanced, result)
-        else:
+        if not get_vectorize():
             phase, intra_max = self._cost_triples(
                 self._messages_for(op), balanced, result)
+        elif op.kind is CommKind.ALLTOALL:
+            flows, intra_max = self._alltoall_flows(op, result)
+            phase = self._cost_flows(flows, balanced, result)
+        else:
+            triples = self._messages_for(op)
+            if len(triples) >= _VECTOR_MIN_TRIPLES:
+                flows, intra_max = self._message_flows(triples, result)
+                phase = self._cost_flows(flows, balanced, result)
+            else:
+                phase, intra_max = self._cost_triples(
+                    triples, balanced, result)
         result.cycles_per_rank = (max(phase.cycles, intra_max)
                                   * op.repeats)
         result.torus_events = {

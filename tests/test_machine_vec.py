@@ -148,32 +148,68 @@ def test_torus_engine_dispatch_validates():
         net.run_phase([], engine="quantum")
 
 
-def test_torus_route_arrays_matches_route():
-    rng = random.Random(3)
-    for dims in [(1, 1, 1), (2, 1, 1), (4, 4, 2), (3, 5, 7)]:
-        topo = TorusTopology(dims)
-        pairs = [(rng.randrange(topo.num_nodes),
-                  rng.randrange(topo.num_nodes)) for _ in range(50)]
-        src = np.array([p[0] for p in pairs])
-        dst = np.array([p[1] for p in pairs])
-        routes = topo.route_arrays(src, dst)
-        cursor = 0
-        for i, (s, d) in enumerate(pairs):
-            scalar_route = topo.route(s, d)
-            hops = int(routes["hops"][i])
-            assert hops == len(scalar_route)
-            for j, (frm, to) in enumerate(scalar_route):
-                assert int(routes["link_node"][cursor + j]) == frm
-                assert int(routes["link_msg"][cursor + j]) == i
-                name = topo.link_direction(frm, to)
-                from repro.net.topology import DIRECTION_NAMES
-                assert DIRECTION_NAMES[
-                    int(routes["link_dir"][cursor + j])] == name
-            if scalar_route:
-                first = topo.link_direction(*scalar_route[0])
-                from repro.net.topology import DIRECTION_NAMES
-                assert DIRECTION_NAMES[int(routes["first_dir"][i])] == first
-            cursor += hops
+@st.composite
+def flow_phases(draw):
+    """Node-pair flows (several equal-sized messages each) on tori with
+    size-1 and size-2 axes and even rings, whose half-way
+    forward/backward ties route forward."""
+    dims = draw(st.tuples(st.sampled_from([1, 2, 3, 4, 6]),
+                          st.sampled_from([1, 2, 4, 5]),
+                          st.sampled_from([1, 2, 4])))
+    topo = TorusTopology(dims)
+    node = st.integers(0, topo.num_nodes - 1)
+    flows = draw(st.lists(st.tuples(node, node, st.integers(0, 2000),
+                                    st.integers(1, 4)), max_size=30))
+    return topo, flows
+
+
+@settings(max_examples=120, deadline=None)
+@given(phase=flow_phases(), balanced=st.booleans())
+def test_torus_flow_phase_matches_oracle(phase, balanced):
+    """run_phase_arrays == the scalar loop over the flows' messages."""
+    topo, flows = phase
+    net = TorusNetwork(topo)
+    msgs = [Message(s, d, size) for s, d, size, count in flows
+            for _ in range(count)]
+    cols = [np.array(col, dtype=np.int64) for col in zip(*flows)] \
+        or [np.zeros(0, dtype=np.int64)] * 4
+    a = net.run_phase_scalar(msgs, balanced)
+    b = net.run_phase_arrays(*cols[:3], balanced, messages=cols[3])
+    assert a.__dict__ == b.__dict__
+    assert list(a.sent) == list(b.sent)
+    for node in a.sent:
+        assert list(a.sent[node]) == list(b.sent[node])
+    assert list(a.received) == list(b.received)
+
+
+@settings(max_examples=60, deadline=None)
+@given(phase=flow_phases())
+def test_torus_link_loads_match_route(phase):
+    """Segment aggregation puts every flow's bytes on exactly the
+    directed links ``route`` walks, not just the right maximum."""
+    from repro.net.topology import DIRECTION_NAMES
+
+    topo, flows = phase
+    net = TorusNetwork(topo)
+    flows = [(s, d, size) for s, d, size, _ in flows if s != d]
+    expect = np.zeros((topo.num_nodes, 6), dtype=np.int64)
+    for s, d, size in flows:
+        for frm, to in topo.route(s, d):
+            direction = DIRECTION_NAMES.index(topo.link_direction(frm, to))
+            expect[frm, direction] += size
+    src, dst, size = (np.array(col, dtype=np.int64).reshape(-1)
+                      for col in (zip(*flows) if flows else ([], [], [])))
+    loads = net._link_loads(src, dst, net._relative(src, dst), size)
+    assert (loads == expect).all()
+
+
+def test_torus_config_rejects_non_integral_hop_latency():
+    """Integral hop latency is what keeps hop_cycles an exact sum."""
+    from repro.net import TorusConfig
+
+    with pytest.raises(ValueError, match="integral"):
+        TorusConfig(hop_latency_cycles=55.5)
+    assert TorusConfig(hop_latency_cycles=60).hop_latency_cycles == 60
 
 
 # ---------------------------------------------------------------------------
@@ -439,22 +475,98 @@ def test_mpi_comm_result_identity(op, num_ranks, mode):
         _comm_result_fingerprint(vector)
 
 
-def test_mpi_alltoall_array_lowering_matches_triples():
-    """_message_arrays reproduces _messages_for order exactly."""
-    from repro.compiler.ir import CommKind, CommOp
+def _mpi(num_ranks, mode, num_nodes=None):
     from repro.runtime.machine import Machine
     from repro.runtime.mpi import SimMPI
     from repro.runtime.process import place_ranks
 
-    placement = place_ranks(12, OperatingMode.VNM)
-    machine = Machine(3, mode=OperatingMode.VNM)
-    mpi = SimMPI(placement, machine.topology, machine.torus,
-                 machine.collective, machine.barrier)
-    for n_bytes in (0, 7, 4096):
+    placement = place_ranks(num_ranks, mode, num_nodes)
+    machine = Machine(max(placement.num_nodes, 2), mode=mode)
+    return SimMPI(placement, machine.topology, machine.torus,
+                  machine.collective, machine.barrier)
+
+
+def _assert_engines_agree(op, num_ranks, mode, num_nodes=None):
+    def run(vectorize: bool):
+        set_vectorize(vectorize)
+        return _mpi(num_ranks, mode, num_nodes).run(op)
+
+    assert _comm_result_fingerprint(run(False)) == \
+        _comm_result_fingerprint(run(True))
+
+
+@pytest.mark.parametrize("num_ranks,mode,num_nodes", [
+    # partly filled last node; a (1, 7, 13) torus: size-1 axis, odd rings
+    (361, OperatingMode.VNM, 91),
+    # even rings with forward/backward ties, an empty spare node
+    (250, OperatingMode.VNM, 64),
+    # size-2 axes: (4, 2, 2)
+    (31, OperatingMode.DUAL, 16),
+])
+def test_mpi_identity_at_scale(num_ranks, mode, num_nodes):
+    """Flow lowering == scalar loop on partitions the hypothesis draw
+    above never builds."""
+    from repro.compiler.ir import CommKind, CommOp
+
+    for op in (CommOp(CommKind.ALLTOALL, bytes_per_rank=90_001,
+                      repeats=2),
+               CommOp(CommKind.HALO, bytes_per_rank=60_000, neighbors=6),
+               CommOp(CommKind.PAIRWISE, bytes_per_rank=4096,
+                      partner_stride=8)):
+        _assert_engines_agree(op, num_ranks, mode, num_nodes)
+
+
+@pytest.mark.parametrize("num_ranks,mode,num_nodes", [
+    (12, OperatingMode.VNM, 3),
+    (7, OperatingMode.VNM, 2),
+    (361, OperatingMode.VNM, 91),
+    (9, OperatingMode.DUAL, 6),
+    (5, OperatingMode.SMP1, 5),
+    (3, OperatingMode.VNM, 1),
+])
+def test_mpi_alltoall_flows_group_triples(num_ranks, mode, num_nodes):
+    """ALLTOALL flows are _messages_for's inter-node triples grouped by
+    node pair, in first-occurrence order."""
+    from repro.compiler.ir import CommKind, CommOp
+    from repro.runtime.mpi import CommResult
+
+    mpi = _mpi(num_ranks, mode, num_nodes)
+    node_of = mpi.placement.node_of
+    for n_bytes in (0, 7, 4096, 1 << 20):
         op = CommOp(CommKind.ALLTOALL, bytes_per_rank=n_bytes)
-        src, dst, size = mpi._message_arrays(op)
-        triples = list(zip(src.tolist(), dst.tolist(), size.tolist()))
-        assert triples == mpi._messages_for(op)
+        grouped = {}
+        for src, dst, size in mpi._messages_for(op):
+            pair = (node_of(src), node_of(dst))
+            if size and pair[0] != pair[1]:
+                grouped.setdefault(pair, []).append(size)
+        expect = [(a, b, sizes[0], len(sizes))
+                  for (a, b), sizes in grouped.items()]
+        assert all(len(set(sizes)) == 1 for sizes in grouped.values())
+        flows, _ = mpi._alltoall_flows(op, CommResult())
+        assert list(zip(*(col.tolist() for col in flows))) == expect
+
+
+def test_mpi_alltoall_scales_in_node_pairs():
+    """FT's 2048-rank all-to-all on 512 nodes (VNM) costs O(node-pair)
+    memory: a per-rank-pair or per-hop expansion of its 4.2M messages
+    would trace gigabytes."""
+    import tracemalloc
+
+    from repro.compiler.ir import CommKind
+    from repro.npb import build_benchmark
+
+    op = next(op for op in build_benchmark("ft", 2048, "C").comms()
+              if op.kind is CommKind.ALLTOALL)
+    mpi = _mpi(2048, OperatingMode.VNM, 512)
+    set_vectorize(True)
+    tracemalloc.start()
+    try:
+        result = mpi.run(op)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.inter_node_bytes > 0
+    assert peak < 100 * 2**20, f"traced peak {peak / 2**20:.0f} MB"
 
 
 # ---------------------------------------------------------------------------

@@ -183,6 +183,15 @@ def test_job_run_produces_nested_job_phase_spans():
     assert comm.attrs["cycles"] > 0
 
 
+def test_dump_span_counts_the_files_finalize_wrote():
+    """phase.dump records one file per node that hosts a rank."""
+    with tracer.recording() as t:
+        result = run_job(_tiny_program(), num_ranks=3, num_nodes=4,
+                         mode=OperatingMode.SMP1)
+    (dump,) = [s for s in t.spans if s.name == "phase.dump"]
+    assert dump.attrs["files"] == len(result.dump_paths) == 3
+
+
 def test_traced_experiment_span_wraps_runner():
     from repro.harness import fig03_modes
 

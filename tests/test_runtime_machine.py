@@ -151,6 +151,49 @@ def test_memoized_engine_matches_legacy_exactly(small_mg, tmp_path):
     assert memo.scaled_totals() == legacy.scaled_totals()
 
 
+@pytest.mark.parametrize("fault", [
+    {"sram_flip_rate": 1.0},
+    {"wrap_storm_rate": 1.0},
+    {"ddr_error_rate": 1.0},
+    {"node_failure_rate": 0.1},
+], ids=["sram_flip", "wrap_storm", "ddr_error", "node_failure"])
+def test_engines_agree_under_node_faults(fault):
+    """Every node-level fault lands after the node's compute counts on
+    both engines, so memoized and per-node runs give the same stats
+    (or the same validation offenders, or the same failed node) and
+    the same RAS log.  XOR and overwrite faults do not commute with the
+    replicated counter deltas, so landing them before would differ."""
+    from repro import faults
+    from repro.core import ValidationError
+    from repro.faults import FaultConfig, NodeFailure
+    from repro.runtime.machine import clear_comm_cache
+
+    program = compile_program(build_benchmark("MG", num_ranks=64,
+                                              problem_class="A"), O5())
+
+    def run(memoize):
+        clear_comm_cache()
+        injector = faults.install(FaultConfig(seed=7, **fault))
+        try:
+            result = Job(Machine(16, mode=OperatingMode.VNM), program, 64,
+                         memoize=memoize).run()
+            outcome = {name: (s.minimum, s.maximum, s.mean, s.total)
+                       for name, s in result.aggregation.stats.items()}
+        except ValidationError as exc:
+            outcome = str(exc)
+        except NodeFailure as exc:
+            outcome = exc.node_id
+        finally:
+            faults.uninstall()
+            clear_comm_cache()
+        return outcome, injector.events
+
+    memo, memo_log = run(True)
+    legacy, legacy_log = run(False)
+    assert memo_log and memo_log == legacy_log
+    assert memo == legacy
+
+
 def test_comm_cache_hit_is_exact(small_mg, tmp_path):
     """A job replaying cached comm phases produces identical results."""
     from repro.runtime.machine import _COMM_CACHE
