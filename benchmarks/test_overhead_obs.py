@@ -15,6 +15,7 @@ from repro import markers
 from repro.compiler import O5
 from repro.harness import clear_caches
 from repro.harness.sweep import run_vnm
+from repro.npb import BENCHMARK_ORDER
 from repro.obs import timeline, tracer
 
 CALIBRATION_CALLS = 200_000
@@ -36,19 +37,25 @@ def test_noop_span_is_shared_and_cheap(benchmark):
     assert result is tracer.NULL_SPAN
 
 
+def _run_every_kernel() -> None:
+    """One VNM run of each of the eight NAS kernels."""
+    for code in BENCHMARK_ORDER:
+        run_vnm(code, O5())
+
+
 def test_noop_tracer_overhead_under_5_percent(fresh_caches):
     tracer.uninstall()
 
-    # 1) wall time of a small experiment run on the no-op tracer
+    # 1) wall time of the eight kernels' runs on the no-op tracer
     clear_caches()
     start = time.perf_counter()
-    run_vnm("EP", O5())
+    _run_every_kernel()
     wall = time.perf_counter() - start
 
-    # 2) how many spans that run opens (count with a real tracer)
+    # 2) how many spans those runs open (count with a real tracer)
     clear_caches()
     with tracer.recording() as t:
-        run_vnm("EP", O5())
+        _run_every_kernel()
     spans_per_run = len(t.spans) + t.close_open_spans()
 
     # 3) the no-op path's total bill must be < 5% of the run

@@ -61,6 +61,11 @@ def dump_file_size(num_sets: int = 1) -> int:
     return _HEADER.size + num_sets * record + _CHECKSUM.size
 
 
+def dump_file_name(node_id: int) -> str:
+    """The file name ``BGP_Finalize`` gives node ``node_id``'s dump."""
+    return f"bgp_counters_node{node_id:05d}.bin"
+
+
 @dataclass
 class NodeDump:
     """Parsed contents of one per-node dump file."""

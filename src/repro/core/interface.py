@@ -42,7 +42,7 @@ from ..obs.tracer import marker as _marker
 from ..obs.tracer import span as _span
 from .config import COUNTER_MASK
 from .counters import UPCUnit
-from .dump import DumpWriter
+from .dump import DumpWriter, dump_file_name
 from .events import COUNTERS_PER_MODE
 
 #: Cycle cost of BGP_Initialize (one-time).
@@ -70,6 +70,15 @@ def node_card(node_id: int,
     if card_size <= 0:
         raise ValueError(f"card size must be positive, got {card_size}")
     return node_id // card_size
+
+
+def job_card_size(num_nodes: int) -> int:
+    """Node-card size the policy uses for a job on ``num_nodes`` nodes.
+
+    The real 32, shrunk so small partitions still sample both event
+    sets (a job of one or two nodes alternates individual nodes).
+    """
+    return min(NODES_PER_NODE_CARD, max(1, num_nodes // 2))
 
 
 def mode_for_node(node_id: int, primary_mode: int = 0,
@@ -215,7 +224,7 @@ class BGPCounterInterface:
             raise InterfaceError(
                 f"BGP_Finalize with sets still running: {open_sets}")
         os.makedirs(directory, exist_ok=True)
-        path = os.path.join(directory, f"bgp_counters_node{self.node_id:05d}.bin")
+        path = os.path.join(directory, dump_file_name(self.node_id))
         with _span("BGP_finalize", node=self.node_id,
                    sets=len(self._sets)):
             writer = DumpWriter(node_id=self.node_id, mode=self.upc.mode)

@@ -125,11 +125,16 @@ class CounterMonitor:
         return taken
 
     def _take_sample(self, cycle: int) -> None:
+        # one read of the whole counter array per sample; .tolist()
+        # yields Python ints — a NumPy uint64 would make the
+        # subtraction wrap (or promote to float) instead of going
+        # negative, silently disabling the wrap correction below
+        values = self.upc.snapshot().tolist()
+        mode = self.upc.mode
         for name, series in self.series.items():
-            # force Python ints: a NumPy uint64 read would make the
-            # subtraction wrap (or promote to float) instead of going
-            # negative, silently disabling the wrap correction below
-            value = int(self.upc.read(series.event))
+            if series.event.mode != mode:
+                self.upc.read(series.event)  # raises the mode error
+            value = values[series.event.counter]
             delta = value - self._last_values[name]
             if delta < 0:  # counter wrapped
                 delta += 1 << 64

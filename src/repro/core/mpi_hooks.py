@@ -9,19 +9,22 @@ gets the application instrumented" (Section IV).
 Our simulated runtime reproduces that linkage: a :class:`CounterSession`
 attaches one :class:`~repro.core.interface.BGPCounterInterface` to every
 node of a job, starts monitoring when the job's ``MPI_Init`` fires and
-stops/dumps at ``MPI_Finalize`` — the application model itself is
-untouched.  The session can also be used directly as a context manager
-around any simulated code region.
+stops at ``MPI_Finalize`` — the application model itself is untouched.
+Finalize writes the per-node dumps only into a caller-given directory;
+without one the session aggregates the interfaces' rows in memory.  The
+session can also be used directly as a context manager around any
+simulated code region.
 """
 
 from __future__ import annotations
 
 import os
-import tempfile
 from typing import Dict, List, Optional, Protocol, Sequence
 
+import numpy as np
+
 from .dump import NodeDump, read_dump
-from .interface import BGPCounterInterface
+from .interface import BGPCounterInterface, job_card_size
 from .postprocess import Aggregation
 
 
@@ -44,8 +47,8 @@ class CounterSession:
         node-card policy.  Pass ``split_by_node_card=False`` to force
         every node onto ``primary_mode`` (256 events only).
     dump_dir:
-        Where finalize writes per-node binaries; a temporary directory
-        is created when omitted.
+        Where finalize writes per-node binaries; when omitted nothing
+        is written and :meth:`aggregation` reads the rows in memory.
     """
 
     def __init__(self, nodes: Sequence[NodeLike],
@@ -59,18 +62,14 @@ class CounterSession:
         self.primary_mode = primary_mode
         self.secondary_mode = secondary_mode
         self.split_by_node_card = split_by_node_card
-        # default card size: the real 32, shrunk so small partitions
-        # still sample both event sets
         if card_size is None:
-            from .interface import NODES_PER_NODE_CARD
-
-            card_size = min(NODES_PER_NODE_CARD,
-                            max(1, len(self.nodes) // 2))
+            card_size = job_card_size(len(self.nodes))
         self.card_size = card_size
         self.dump_dir = dump_dir
         self.interfaces: Dict[int, BGPCounterInterface] = {}
         self.dump_paths: List[str] = []
         self._active = False
+        self._finalized = False
 
     # ------------------------------------------------------------------
     # MPI hook points
@@ -94,17 +93,18 @@ class CounterSession:
     def mpi_finalize(self) -> List[str]:
         """The BGP_Stop + BGP_Finalize half, fired from MPI_Finalize.
 
-        Returns the per-node dump paths.
+        Returns the per-node dump paths (empty without ``dump_dir``).
         """
         if not self._active:
             raise RuntimeError("mpi_finalize without mpi_init")
-        if self.dump_dir is None:
-            self.dump_dir = tempfile.mkdtemp(prefix="bgp_counters_")
-        os.makedirs(self.dump_dir, exist_ok=True)
+        if self.dump_dir is not None:
+            os.makedirs(self.dump_dir, exist_ok=True)
         for iface in self.interfaces.values():
             iface.stop(0)
-            self.dump_paths.append(iface.finalize(self.dump_dir))
+            if self.dump_dir is not None:
+                self.dump_paths.append(iface.finalize(self.dump_dir))
         self._active = False
+        self._finalized = True
         return self.dump_paths
 
     # ------------------------------------------------------------------
@@ -127,13 +127,29 @@ class CounterSession:
     # ------------------------------------------------------------------
     def dumps(self) -> List[NodeDump]:
         """Parsed dumps of the finished session."""
-        if not self.dump_paths:
-            raise RuntimeError("session has not finalized yet")
+        if self.dump_dir is None:
+            raise RuntimeError(
+                "session wrote no dumps: pass dump_dir to write them")
+        self._require_finalized()
         return [read_dump(p) for p in self.dump_paths]
 
     def aggregation(self, set_id: int = 0) -> Aggregation:
-        """Cross-node aggregation of the finished session."""
-        return Aggregation(self.dumps(), set_id=set_id)
+        """Cross-node aggregation of the finished session.
+
+        Built from the interfaces' accumulated rows — the same numbers
+        the dumps hold, so ``Aggregation(self.dumps())`` agrees.
+        """
+        self._require_finalized()
+        ifaces = list(self.interfaces.values())
+        return Aggregation.from_rows(
+            [iface.node_id for iface in ifaces],
+            [iface.upc.mode for iface in ifaces],
+            np.stack([iface.set_deltas(set_id) for iface in ifaces]),
+            set_id=set_id)
+
+    def _require_finalized(self) -> None:
+        if not self._finalized:
+            raise RuntimeError("session has not finalized yet")
 
     def total_overhead_cycles(self) -> int:
         """Interface overhead summed over nodes (excludes dump time)."""

@@ -14,13 +14,20 @@ import csv
 import glob
 import os
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence
 
 import numpy as np
 
 from ..parallel import get_vectorize
 from .dump import DumpFormatError, NodeDump, read_dump
-from .events import COUNTERS_PER_MODE, EVENTS_BY_ID, EVENTS_BY_NAME, Event
+from .events import (
+    COUNTERS_PER_MODE,
+    EVENTS_BY_ID,
+    EVENTS_BY_NAME,
+    Event,
+    events_in_mode,
+)
 
 
 @dataclass(frozen=True)
@@ -54,6 +61,10 @@ def load_dumps(source: str | Iterable[str]) -> List[NodeDump]:
     return [read_dump(p) for p in paths]
 
 
+#: counter values above this are rejected as likely wrap artefacts
+_WRAP_CEILING = np.uint64((1 << 64) - (1 << 10))
+
+
 def validate_dumps(dumps: Sequence[NodeDump]) -> None:
     """Cross-file sanity checks (paper: counts, lengths, value ranges).
 
@@ -62,30 +73,45 @@ def validate_dumps(dumps: Sequence[NodeDump]) -> None:
     * counter values suspiciously close to 2**64 (within 2**10 of wrap)
       are rejected as likely wrap artefacts.
     """
-    if not dumps:
-        raise ValidationError("no dumps to validate")
-    ids = [d.node_id for d in dumps]
-    if len(set(ids)) != len(ids):
-        dupes = sorted({i for i in ids if ids.count(i) > 1})
-        raise ValidationError(f"duplicate node ids in dumps: {dupes}")
+    _check_node_ids([d.node_id for d in dumps])
     reference = dumps[0].set_ids()
     for d in dumps:
         if d.set_ids() != reference:
             raise ValidationError(
                 f"node {d.node_id} has sets {d.set_ids()}, "
                 f"expected {reference}")
-    ceiling = np.uint64((1 << 64) - (1 << 10))
-    offenders: List[str] = []
-    for d in dumps:
-        for set_id, arr in d.sets.items():
-            for bad in np.flatnonzero(arr > ceiling):
-                offenders.append(
-                    f"node {d.node_id} set {set_id} counter {int(bad)}: "
-                    f"value {int(arr[bad])}")
-    if offenders:
-        raise ValidationError(
-            "counter values within 2**10 of wrap — likely counter wrap "
-            "artefacts:\n  " + "\n  ".join(offenders))
+    _check_wrap([(d.node_id, set_id) for d in dumps for set_id in d.sets],
+                [arr for d in dumps for arr in d.sets.values()])
+
+
+def _check_node_ids(node_ids: Sequence[int]) -> None:
+    if not len(node_ids):
+        raise ValidationError("no dumps to validate")
+    ids = list(node_ids)
+    if len(set(ids)) != len(ids):
+        dupes = sorted({i for i in ids if ids.count(i) > 1})
+        raise ValidationError(f"duplicate node ids in dumps: {dupes}")
+
+
+def _check_wrap(labels: Sequence[tuple], rows) -> None:
+    """Reject values within 2**10 of wrap, reported node by node.
+
+    ``labels[i]`` is the ``(node id, set id)`` of ``rows[i]``; offenders
+    are listed in row order, counters ascending within a row.
+    """
+    if not len(rows):
+        return
+    matrix = np.asarray(rows)
+    high = matrix > _WRAP_CEILING
+    if not high.any():
+        return
+    offenders = [
+        f"node {labels[r][0]} set {labels[r][1]} counter {c}: "
+        f"value {int(matrix[r, c])}"
+        for r, c in zip(*(axis.tolist() for axis in np.nonzero(high)))]
+    raise ValidationError(
+        "counter values within 2**10 of wrap — likely counter wrap "
+        "artefacts:\n  " + "\n  ".join(offenders))
 
 
 class Aggregation:
@@ -101,23 +127,49 @@ class Aggregation:
                  validate: bool = True):
         if validate:
             validate_dumps(dumps)
+        self._aggregate([d.node_id for d in dumps], [d.mode for d in dumps],
+                        [d.deltas(set_id) for d in dumps], set_id)
+
+    @classmethod
+    def from_rows(cls, node_ids: Sequence[int], modes: Sequence[int],
+                  rows, set_id: int = 0,
+                  validate: bool = True) -> "Aggregation":
+        """Aggregate per-node counter rows held in memory.
+
+        ``rows`` is a ``(nodes x 256)`` ``uint64`` matrix (or a sequence
+        of 256-vectors): row ``i`` is what node ``node_ids[i]``, counting
+        in mode ``modes[i]``, would have dumped for ``set_id``.  The
+        result equals ``Aggregation`` over those dumps — same
+        validation, same statistics in the same order — without any
+        file in between.
+        """
+        if validate:
+            _check_node_ids(node_ids)
+            _check_wrap([(node_id, set_id) for node_id in node_ids], rows)
+        agg = cls.__new__(cls)
+        agg._aggregate(node_ids, modes, rows, set_id)
+        return agg
+
+    def _aggregate(self, node_ids: Sequence[int], modes: Sequence[int],
+                   rows, set_id: int) -> None:
+        """Per-mode statistics over the rows, modes in first-seen order."""
         self.set_id = set_id
         self.nodes_by_mode: Dict[int, List[int]] = {}
-        by_mode: Dict[int, List[NodeDump]] = {}
-        for d in dumps:
-            self.nodes_by_mode.setdefault(d.mode, []).append(d.node_id)
-            by_mode.setdefault(d.mode, []).append(d)
+        members: Dict[int, List[int]] = {}
+        for index, (node_id, mode) in enumerate(zip(node_ids, modes)):
+            self.nodes_by_mode.setdefault(mode, []).append(node_id)
+            members.setdefault(mode, []).append(index)
         self.stats: Dict[str, CounterStats] = {}
         if get_vectorize():
             # first-seen mode order, counters ascending: the same stats
             # insertion order the per-value loop produces
-            for mode, group in by_mode.items():
-                self._stats_for_mode_vector(mode, group, set_id)
+            matrix = np.asarray(rows)
+            for mode, indices in members.items():
+                self._stats_for_mode_vector(mode, matrix[indices])
             return
         per_event_values: Dict[int, List[int]] = {}
-        for d in dumps:
-            arr = d.deltas(set_id)
-            base = d.mode * COUNTERS_PER_MODE
+        for arr, mode in zip(rows, modes):
+            base = mode * COUNTERS_PER_MODE
             for counter in range(COUNTERS_PER_MODE):
                 per_event_values.setdefault(base + counter, []).append(
                     int(arr[counter]))
@@ -136,8 +188,8 @@ class Aggregation:
     #: as total / n only while the exact total is below this
     _MEAN_EXACT_LIMIT = 1 << 53
 
-    def _stats_for_mode_vector(self, mode: int, group: Sequence[NodeDump],
-                               set_id: int) -> None:
+    def _stats_for_mode_vector(self, mode: int,
+                               matrix: np.ndarray) -> None:
         """Batched per-mode statistics; byte-identical to the scalar loop.
 
         Mins/maxes/totals are integer-exact axis reductions (totals via
@@ -149,30 +201,23 @@ class Aggregation:
         above that limit fall back to np.mean over the same value list
         the scalar path builds.
         """
-        matrix = np.stack([d.deltas(set_id) for d in group])
         n = matrix.shape[0]
-        mins = matrix.min(axis=0)
-        maxs = matrix.max(axis=0)
+        # Python ints straight from .tolist(): no NumPy scalar per cell
+        mins = matrix.min(axis=0).tolist()
+        maxs = matrix.max(axis=0).tolist()
         lo = (matrix & np.uint64(0xFFFFFFFF)).astype(np.int64)
         hi = (matrix >> np.uint64(32)).astype(np.int64)
-        lo_sum = lo.sum(axis=0, dtype=np.int64)
-        hi_sum = hi.sum(axis=0, dtype=np.int64)
-        base = mode * COUNTERS_PER_MODE
-        for counter in range(COUNTERS_PER_MODE):
-            total = (int(hi_sum[counter]) << 32) + int(lo_sum[counter])
-            if total < self._MEAN_EXACT_LIMIT:
-                mean = float(total) / n
-            else:
-                mean = float(np.mean(matrix[:, counter].tolist()))
-            ev = EVENTS_BY_ID[base + counter]
-            self.stats[ev.name] = CounterStats(
-                event=ev,
-                minimum=int(mins[counter]),
-                maximum=int(maxs[counter]),
-                mean=mean,
-                total=total,
-                node_count=n,
-            )
+        lo_sum = lo.sum(axis=0, dtype=np.int64).tolist()
+        hi_sum = hi.sum(axis=0, dtype=np.int64).tolist()
+        totals = [(h << 32) + l for h, l in zip(hi_sum, lo_sum)]
+        means = [float(total) / n if total < self._MEAN_EXACT_LIMIT
+                 else float(np.mean(matrix[:, counter].tolist()))
+                 for counter, total in enumerate(totals)]
+        events = events_in_mode(mode)
+        self.stats.update(zip(
+            [ev.name for ev in events],
+            map(CounterStats, events, mins, maxs, means, totals,
+                repeat(n))))
 
     @classmethod
     def from_stats(cls, set_id: int,

@@ -229,10 +229,13 @@ class JobFaultContext:
     def visit_node(self, node, phase: str = "compute") -> None:
         """Roll every node-level fault class against one node.
 
-        Called by ``Job.run`` once per monitored node at the start of
-        its compute phase, *after* counter deltas were replicated —
-        corruption must land on each member's own UPC unit, not just
-        the class representative's.
+        Called by ``Job.run`` once per monitored node, in node order,
+        with a port on that node's counter row (``node_id`` plus
+        ``inject_counter_bit_flip``, ``preload_counter_near_wrap`` and
+        ``pulse_events``).  The row already holds the node's compute
+        counts and receives its comm counts afterwards — corruption
+        lands on each member's own row, not just the class
+        representative's.
         """
         cfg = self.injector.config
         rng = self._roll(cfg.node_failure_rate, "node_failure",

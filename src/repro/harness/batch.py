@@ -19,8 +19,8 @@ This module exploits that:
 * counter delivery is algebraic: a clean run's per-counter delta is the
   modular sum of its pulses (see DESIGN.md for the exactness argument),
   so the engine accumulates named counts into per-node ``uint64`` rows
-  and hands synthetic :class:`~repro.core.dump.NodeDump` records to the
-  unchanged :class:`~repro.core.postprocess.Aggregation` — no UPC
+  with ``Job.run``'s own row algebra and aggregates them through
+  :meth:`~repro.core.postprocess.Aggregation.from_rows` — no UPC
   objects, no dump files, no re-simulated members;
 * with ``--jobs N`` the per-point assembly stage fans out over the
   pool with the heavy NumPy payloads (comm matrices, class event
@@ -45,11 +45,7 @@ from .. import checkpoint as _checkpoint
 from .. import faults as _faults
 from .. import markers as _markers
 from ..compiler.ir import Program
-from ..core.dump import NodeDump, dump_file_size
-from ..core.events import COUNTERS_PER_MODE, EVENTS_BY_NAME
-from ..core.interface import NODES_PER_NODE_CARD, mode_for_node
 from ..core.postprocess import Aggregation
-from ..isa.latency import CORE_CLOCK_HZ
 from ..mem import NodeMemoryConfig
 from ..mem.hierarchy import analyze_nodes_batch
 from ..net import (
@@ -72,11 +68,16 @@ from ..parallel import (
     worker_shared,
 )
 from ..runtime import machine as _machine
-from ..runtime.machine import JobResult, _program_to_work
+from ..runtime.machine import (
+    JobResult,
+    _comm_rows,
+    _counts_to_row,
+    _dump_io_cycles,
+    _node_counter_modes,
+    _program_to_work,
+)
 from ..runtime.mpi import CommResult, SimMPI
 from ..runtime.process import place_ranks
-
-_U64 = (1 << 64) - 1
 
 _BATCH_RUNS = _metrics.counter("batch.runs")
 _BATCH_POINTS = _metrics.counter("batch.points")
@@ -173,39 +174,6 @@ def available() -> bool:
 
 
 # ---------------------------------------------------------------------------
-# counter algebra: named event counts -> per-node uint64 rows
-# ---------------------------------------------------------------------------
-def _accumulate(acc: Dict[str, int], events: Dict[str, int]) -> None:
-    for name, count in events.items():
-        acc[name] = acc.get(name, 0) + count
-
-
-def _counts_to_row(counts: Dict[str, int], counter_mode: int) -> np.ndarray:
-    """One node's counter row: mode-gated, counter-indexed, masked.
-
-    Mirrors ``UPCUnit.pulse_many`` delivery exactly: zero counts are
-    skipped, negative counts raise, unknown names and events of another
-    mode are ignored, and each counter holds its pulse sum mod 2**64
-    (modular addition commutes, so summing before masking is identical
-    to the per-pulse sequence).
-    """
-    acc: Dict[int, int] = {}
-    for name, count in counts.items():
-        if count < 0:
-            raise ValueError(f"negative event count: {name}={count}")
-        if count == 0:
-            continue
-        event = EVENTS_BY_NAME.get(name)
-        if event is None or event.mode != counter_mode:
-            continue
-        acc[event.counter] = acc.get(event.counter, 0) + count
-    row = np.zeros(COUNTERS_PER_MODE, dtype=np.uint64)
-    for counter, total in acc.items():
-        row[counter] = np.uint64(total & _U64)
-    return row
-
-
-# ---------------------------------------------------------------------------
 # stage helpers
 # ---------------------------------------------------------------------------
 class _Layout:
@@ -221,14 +189,8 @@ class _Layout:
         self.placement = _cached_placement(num_ranks, mode.name,
                                            num_nodes)
         self.used_nodes = sorted(self.placement.slots_by_node())
-        self.card_size = min(NODES_PER_NODE_CARD,
-                             max(1, len(self.used_nodes) // 2))
         self.residents = [len(self.placement.ranks_on_node(n))
                           for n in self.used_nodes]
-
-    def counter_modes(self, primary: int, secondary: int) -> List[int]:
-        return [mode_for_node(n, primary, secondary, self.card_size)
-                for n in self.used_nodes]
 
 
 def _resolve_comm_phases(point: PointSpec, layout: _Layout,
@@ -271,64 +233,6 @@ def _resolve_comm_phases(point: PointSpec, layout: _Layout,
     return phases, False
 
 
-def _comm_side_counts(layout: _Layout, phases: Sequence[CommResult],
-                      mode: OperatingMode) -> Tuple[List[Dict[str, int]],
-                                                    float]:
-    """Per-used-node comm-phase event counts and the comm wait cycles.
-
-    Replays the per-point delivery order as one accumulation: per-phase
-    torus events on the receiving used nodes, collective events on
-    every used node, the total message-staging DDR lines split across
-    the controllers, and the comm wait elapsing on every rank-hosting
-    core.  The float phase costs are summed in op order — the same
-    additions, in the same order, as the per-point loop.
-    """
-    index_of = {n: i for i, n in enumerate(layout.used_nodes)}
-    counts: List[Dict[str, int]] = [{} for _ in layout.used_nodes]
-    collective_total: Dict[str, int] = {}
-    ddr_lines: Dict[int, int] = {}
-    comm_cycles = 0.0
-    for phase in phases:
-        comm_cycles += phase.cycles_per_rank
-        for node_id, events in phase.torus_events.items():
-            i = index_of.get(node_id)
-            if i is not None:
-                _accumulate(counts[i], events)
-        if phase.collective_events:
-            _accumulate(collective_total, phase.collective_events)
-        for node_id, lines in phase.ddr_lines_per_node.items():
-            ddr_lines[node_id] = ddr_lines.get(node_id, 0) + lines
-    assignment = mode.core_assignment()
-    comm_int = int(round(comm_cycles))
-    for i, node_id in enumerate(layout.used_nodes):
-        if collective_total:
-            _accumulate(counts[i], collective_total)
-        lines = ddr_lines.get(node_id, 0)
-        if lines:
-            _accumulate(counts[i], {"BGP_DDR0_WRITE": lines // 2,
-                                    "BGP_DDR1_READ": lines - lines // 2})
-        if comm_int > 0:
-            _accumulate(counts[i], {
-                f"BGP_PU{core}_CYCLES": comm_int
-                for slot in range(layout.residents[i])
-                for core in assignment[slot]})
-    return counts, comm_cycles
-
-
-def _dump_io_cycles(num_nodes: int, used_nodes: Sequence[int]) -> float:
-    """Cycles of the post-monitoring dump phase over the I/O path.
-
-    Each used node ships one single-set dump whose size is a pure
-    function of the format (:func:`repro.core.dump.dump_file_size`), so
-    the Ethernet write phase is costed without materialising files.
-    """
-    dump_bytes = [0] * num_nodes
-    size = dump_file_size(1)
-    for node_id in used_nodes:
-        dump_bytes[node_id] = size
-    return EthernetIOModel().write_phase(dump_bytes).cycles
-
-
 # ---------------------------------------------------------------------------
 # point assembly (runs in the parent, or as a pool task per point)
 # ---------------------------------------------------------------------------
@@ -360,11 +264,8 @@ def _assemble_point(meta: Dict[str, Any],
     for vec_name, indices in meta["adds"]:
         vec = array_of(vec_name)
         matrix[np.asarray(indices, dtype=np.intp)] += vec
-    node_modes = meta["node_modes"]
-    dumps = [NodeDump(node_id=node_id, mode=node_modes[i],
-                      clock_hz=CORE_CLOCK_HZ, sets={0: matrix[i]})
-             for i, node_id in enumerate(used_nodes)]
-    aggregation = Aggregation(dumps, set_id=0)
+    aggregation = Aggregation.from_rows(used_nodes, meta["node_modes"],
+                                        matrix)
 
     compute_cycles = [0.0] * meta["num_ranks"]
     cycles_by_residents = meta["cycles_by_residents"]
@@ -495,13 +396,16 @@ def run_points(points: Sequence[PointSpec]) -> List[JobResult]:
                 phases, cached = _resolve_comm_phases(point, layout,
                                                       tier, tier_ctx)
                 (_COMM_HITS if cached else _COMM_MISSES).inc()
-                counts, comm_cycles = _comm_side_counts(
-                    layout, phases, point.mode)
-                node_modes = layout.counter_modes(*point.counter_modes)
+                # the float phase costs summed in op order, as Job.run
+                comm_cycles = 0.0
+                for phase in phases:
+                    comm_cycles += phase.cycles_per_rank
+                node_modes = _node_counter_modes(layout.used_nodes,
+                                                 point.counter_modes)
                 comm_array = f"comm{len(groups)}"
-                arrays[comm_array] = np.stack(
-                    [_counts_to_row(counts[i], node_modes[i])
-                     for i in range(len(layout.used_nodes))])
+                arrays[comm_array] = _comm_rows(
+                    layout.used_nodes, layout.residents, node_modes,
+                    phases, int(round(comm_cycles)), point.mode)
                 # node indices that share one (residents, counter-mode)
                 # row update, shared by every point of this group
                 index_groups: Dict[Tuple[int, int], List[int]] = {}
@@ -513,7 +417,8 @@ def run_points(points: Sequence[PointSpec]) -> List[JobResult]:
                     "comm_cycles": comm_cycles,
                     "node_modes": node_modes,
                     "index_groups": index_groups,
-                    "dump_io": _dump_io_cycles(point.num_nodes,
+                    "dump_io": _dump_io_cycles(EthernetIOModel(),
+                                               point.num_nodes,
                                                layout.used_nodes),
                 }
             else:

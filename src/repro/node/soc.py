@@ -236,34 +236,6 @@ class ComputeNode:
         return result
 
     # ------------------------------------------------------------------
-    # fault-injection ports (driven by repro.faults; never called in a
-    # clean run)
-    # ------------------------------------------------------------------
-    def inject_counter_bit_flip(self, counter: int, bit: int) -> int:
-        """Flip one bit of one counter's SRAM cell; returns the new value.
-
-        Models a soft error in the UPC counter array — the silent
-        corruption the Röhl-style validation audits exist to catch.
-        """
-        if not 0 <= bit < 64:
-            raise ValueError(f"bit must be 0..63, got {bit}")
-        value = self.upc.registers.counter(counter) ^ (1 << bit)
-        self.upc.registers.set_counter(counter, value)
-        return value
-
-    def preload_counter_near_wrap(self, counter: int, margin: int) -> int:
-        """Push one counter to within ``margin`` of the 2**64 wrap.
-
-        Subsequent event traffic carries it over the edge (or leaves it
-        suspiciously close), which ``validate_dumps`` flags.
-        """
-        if margin < 1:
-            raise ValueError(f"margin must be >= 1, got {margin}")
-        value = (1 << 64) - margin
-        self.upc.registers.set_counter(counter, value)
-        return value
-
-    # ------------------------------------------------------------------
     def pulse_events(self, events: Dict[str, int]) -> None:
         """Deliver named event pulses to the UPC unit (mode-gated)."""
         if get_vectorize():

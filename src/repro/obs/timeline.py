@@ -157,6 +157,9 @@ class NodeTimelineSampler:
         #: copied, across an equivalence class — replication for free)
         self._base_series: Dict[str, List[Tuple[int, int]]] = {}
         self._base_alerts: List[TimelineAlert] = []
+        #: this sampler's series so far, frozen once for every branch
+        #: taken from the same state (reset by each feed)
+        self._branch_series: Optional[Dict[str, list]] = None
         self.phases: List[Tuple[str, int, int]] = []
 
     # ------------------------------------------------------------------
@@ -166,6 +169,7 @@ class NodeTimelineSampler:
         span = int(round(cycles))
         if span < 0:
             raise ValueError(f"negative phase span: {cycles}")
+        self._branch_series = None
         monitor = self.monitor
         start = monitor.now
         end = start + span
@@ -228,10 +232,16 @@ class NodeTimelineSampler:
                           event=irq.event_name, threshold=irq.threshold,
                           value=irq.value)))
         twin.monitor = self.monitor.fork(twin.upc)
-        twin._base_series = {
-            name: self._base_series.get(name, [])
-            + [(s.cycle, s.delta) for s in series.samples]
-            for name, series in self.monitor.series.items()}
+        if self._branch_series is None:
+            # built once per sampler state: a class representative
+            # branches to every member, and rebuilding the series per
+            # member would cost O(members x samples)
+            self._branch_series = {
+                name: self._base_series.get(name, [])
+                + [(s.cycle, s.delta) for s in series.samples]
+                for name, series in self.monitor.series.items()}
+        twin._base_series = self._branch_series
+        twin._branch_series = None
         twin._base_alerts = (self._base_alerts
                              + [replace(a, node_id=node_id)
                                 for a in self.alerts])
@@ -242,6 +252,7 @@ class NodeTimelineSampler:
     def finish(self) -> "NodeTimeline":
         """Flush the monitor and freeze this node's timeline."""
         self.monitor.flush()
+        self._branch_series = None
         samples = {
             name: self._base_series.get(name, [])
             + [(s.cycle, s.delta) for s in series.samples]

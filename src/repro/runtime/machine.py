@@ -19,14 +19,18 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..compiler.ir import Program
+from ..core.dump import DumpWriter, dump_file_name, dump_file_size
+from ..core.events import COUNTERS_PER_MODE, EVENTS_BY_NAME
+from ..core.interface import job_card_size, mode_for_node
 from ..core.metrics import (
     fp_profile,
     total_flops,
 )
-from ..core.mpi_hooks import CounterSession
 from ..core.postprocess import Aggregation
 from .. import faults as _faults
 from ..isa.latency import CORE_CLOCK_HZ
@@ -72,6 +76,8 @@ _COMM_TIER_HITS = _metrics.counter("runtime.comm_tier_hits")
 _COMM_CACHE: "Dict[Tuple, List]" = {}
 _COMM_CACHE_MAX = 64
 
+_U64 = (1 << 64) - 1
+
 
 def clear_comm_cache() -> None:
     """Drop all cached communication phases (tests use this)."""
@@ -79,19 +85,22 @@ def clear_comm_cache() -> None:
 
 
 class Machine:
-    """A BG/P partition: nodes + networks in one operating mode."""
+    """A BG/P partition: nodes + networks in one operating mode.
+
+    The compute nodes themselves are not objects here: a job simulates
+    one :class:`ComputeNode` per node equivalence class and keeps every
+    node's counters as one row of its counter matrix.
+    """
 
     def __init__(self, num_nodes: int,
                  mode: OperatingMode = OperatingMode.SMP1,
                  mem_config: Optional[NodeMemoryConfig] = None):
         if num_nodes <= 0:
             raise ValueError(f"partition needs >= 1 node, got {num_nodes}")
+        self.num_nodes = num_nodes
         self.mode = mode
         self.mem_config = mem_config or NodeMemoryConfig()
         self.topology = TorusTopology.for_nodes(num_nodes)
-        self.nodes = [ComputeNode(node_id=i, mode=mode,
-                                  mem_config=self.mem_config)
-                      for i in range(num_nodes)]
         self.torus = TorusNetwork(self.topology)
         self.collective = CollectiveNetwork(num_nodes)
         self.barrier = BarrierNetwork(num_nodes)
@@ -110,10 +119,6 @@ class Machine:
         self.boot_cycles = self.jtag.boot(list(range(num_nodes)))
 
     @property
-    def num_nodes(self) -> int:
-        return len(self.nodes)
-
-    @property
     def max_ranks(self) -> int:
         return self.num_nodes * self.mode.processes_per_node
 
@@ -127,6 +132,162 @@ def _program_to_work(program: Program) -> ProcessWork:
         for loop in program.loops()
     ]
     return ProcessWork(loops=loops)
+
+
+# ---------------------------------------------------------------------------
+# counter algebra: named event counts -> per-node uint64 rows
+# ---------------------------------------------------------------------------
+def _accumulate(acc: Dict[str, int], events: Dict[str, int]) -> None:
+    for name, count in events.items():
+        acc[name] = acc.get(name, 0) + count
+
+
+def _counts_to_row(counts: Dict[str, int], counter_mode: int) -> np.ndarray:
+    """One node's counter row: mode-gated, counter-indexed, masked.
+
+    Mirrors ``UPCUnit.pulse_many`` delivery exactly: zero counts are
+    skipped, negative counts raise, unknown names and events of another
+    mode are ignored, and each counter holds its pulse sum mod 2**64
+    (modular addition commutes, so summing before masking is identical
+    to the per-pulse sequence).
+    """
+    acc: Dict[int, int] = {}
+    for name, count in counts.items():
+        if count < 0:
+            raise ValueError(f"negative event count: {name}={count}")
+        if count == 0:
+            continue
+        event = EVENTS_BY_NAME.get(name)
+        if event is None or event.mode != counter_mode:
+            continue
+        acc[event.counter] = acc.get(event.counter, 0) + count
+    row = np.zeros(COUNTERS_PER_MODE, dtype=np.uint64)
+    if acc:
+        row[list(acc)] = np.array([total & _U64 for total in acc.values()],
+                                  dtype=np.uint64)
+    return row
+
+
+def _node_counter_modes(used_nodes: Sequence[int],
+                        counter_modes: Tuple[int, int]) -> List[int]:
+    """The counter mode BGP_Initialize gives each used node.
+
+    The even/odd node-card policy with ``CounterSession``'s default
+    card size.
+    """
+    card_size = job_card_size(len(used_nodes))
+    return [mode_for_node(n, counter_modes[0], counter_modes[1], card_size)
+            for n in used_nodes]
+
+
+def _comm_rows(used_nodes: Sequence[int], residents: Sequence[int],
+               node_modes: Sequence[int], phases: Sequence[CommResult],
+               comm_wait: int, mode: OperatingMode) -> np.ndarray:
+    """The comm-side counter rows of every used node, one matrix.
+
+    Replays the per-node delivery as one accumulation: per-phase torus
+    events on the receiving used nodes, the total message-staging DDR
+    lines split across the controllers, collective events on every
+    used node, and ``comm_wait`` cycles elapsing on every core that
+    hosts one of the node's ``residents[i]`` ranks.  The last two are
+    the same on every node with one resident count and counter mode,
+    so each such group gets one shared row; uint64 row adds are the
+    modular sums a single accumulation would give.
+    """
+    index_of = {n: i for i, n in enumerate(used_nodes)}
+    counts: List[Dict[str, int]] = [{} for _ in used_nodes]
+    collective_total: Dict[str, int] = {}
+    ddr_lines: Dict[int, int] = {}
+    for phase in phases:
+        for node_id, events in phase.torus_events.items():
+            i = index_of.get(node_id)
+            if i is not None:
+                _accumulate(counts[i], events)
+        if phase.collective_events:
+            _accumulate(collective_total, phase.collective_events)
+        for node_id, lines in phase.ddr_lines_per_node.items():
+            ddr_lines[node_id] = ddr_lines.get(node_id, 0) + lines
+    for node_id, lines in ddr_lines.items():
+        i = index_of.get(node_id)
+        if i is not None and lines:
+            _accumulate(counts[i], {"BGP_DDR0_WRITE": lines // 2,
+                                    "BGP_DDR1_READ": lines - lines // 2})
+    rows = np.zeros((len(used_nodes), COUNTERS_PER_MODE), dtype=np.uint64)
+    for i, node_counts in enumerate(counts):
+        if node_counts:
+            rows[i] = _counts_to_row(node_counts, node_modes[i])
+    groups: Dict[Tuple[int, int], List[int]] = {}
+    for i, group in enumerate(zip(residents, node_modes)):
+        groups.setdefault(group, []).append(i)
+    assignment = mode.core_assignment()
+    for (slots, counter_mode), indices in groups.items():
+        shared = dict(collective_total)
+        if comm_wait > 0:
+            _accumulate(shared, {f"BGP_PU{core}_CYCLES": comm_wait
+                                 for slot in range(slots)
+                                 for core in assignment[slot]})
+        rows[indices] += _counts_to_row(shared, counter_mode)
+    return rows
+
+
+def _dump_io_cycles(io: EthernetIOModel, num_nodes: int,
+                    used_nodes: Sequence[int]) -> float:
+    """Cycles of the post-monitoring dump phase over the I/O path.
+
+    Each used node ships one single-set dump whose size is a pure
+    function of the format (:func:`repro.core.dump.dump_file_size`), so
+    the Ethernet write phase is costed without materialising files.
+    """
+    dump_bytes = [0] * num_nodes
+    size = dump_file_size(1)
+    for node_id in used_nodes:
+        dump_bytes[node_id] = size
+    return io.write_phase(dump_bytes).cycles
+
+
+class _NodeRow:
+    """One node's counter row, as the node-level fault classes see it.
+
+    A view on the node's row of the job's counter matrix with the three
+    ports :meth:`repro.faults.JobFaultContext.visit_node` drives: a bit
+    flip (XOR), a near-wrap preload (overwrite) and a mode-gated pulse
+    (add).  Never built in a clean run.
+    """
+
+    __slots__ = ("node_id", "mode", "row")
+
+    def __init__(self, node_id: int, mode: int, row: np.ndarray):
+        self.node_id = node_id
+        self.mode = mode
+        self.row = row
+
+    def inject_counter_bit_flip(self, counter: int, bit: int) -> int:
+        """Flip one bit of one counter's SRAM cell; returns the new value.
+
+        Models a soft error in the UPC counter array — the silent
+        corruption the Röhl-style validation audits exist to catch.
+        """
+        if not 0 <= bit < 64:
+            raise ValueError(f"bit must be 0..63, got {bit}")
+        value = int(self.row[counter]) ^ (1 << bit)
+        self.row[counter] = np.uint64(value)
+        return value
+
+    def preload_counter_near_wrap(self, counter: int, margin: int) -> int:
+        """Push one counter to within ``margin`` of the 2**64 wrap.
+
+        Subsequent event traffic carries it over the edge (or leaves it
+        suspiciously close), which the aggregation's validation flags.
+        """
+        if margin < 1:
+            raise ValueError(f"margin must be >= 1, got {margin}")
+        value = (1 << 64) - margin
+        self.row[counter] = np.uint64(value)
+        return value
+
+    def pulse_events(self, events: Dict[str, int]) -> None:
+        """Deliver named event pulses to the row (mode-gated)."""
+        self.row += _counts_to_row(events, self.mode)
 
 
 def _simulate_node_class_shared(residents: int
@@ -159,6 +320,7 @@ class JobResult:
     compute_cycles_per_rank: List[float]
     comm_cycles_per_rank: float
     aggregation: Aggregation
+    #: per-node dump files, written only for ``Job.run(dump_dir=...)``
     dump_paths: List[str] = field(default_factory=list)
     #: cost of shipping the counter dumps over the I/O path; it happens
     #: after monitoring stopped, so it lengthens the job but never
@@ -233,9 +395,9 @@ class JobResult:
     def to_dict(self) -> Dict:
         """JSON-serialisable form holding every derived-metric input.
 
-        Dump paths (session-scoped temp files) and the timeline (absent
-        on memoized sweep runs) are deliberately dropped: a resumed
-        process could not use either.
+        Dump paths (files the caller asked for) and the timeline
+        (absent on memoized sweep runs) are deliberately dropped: a
+        resumed process could not use either.
         """
         return {
             "program_name": self.program_name,
@@ -322,7 +484,11 @@ class Job:
 
         ``counter_modes`` are the two 256-event sets split across the
         node cards (default: processor/FPU/L1 events + L3/DDR events,
-        which the paper's figures need).
+        which the paper's figures need).  Every used node's counters
+        are one ``uint64`` row of the job's counter matrix, aggregated
+        in memory; ``dump_dir`` additionally writes each row as the
+        node's ``BGP_Finalize`` dump file (nothing is written without
+        it, and ``JobResult.dump_paths`` stays empty).
         """
         machine = self.machine
         _JOBS.inc()
@@ -332,13 +498,12 @@ class Job:
                          nodes=machine.num_nodes)
         placement = place_ranks(self.num_ranks, machine.mode,
                                 machine.num_nodes)
-        used_nodes = sorted(placement.slots_by_node())
-        nodes = [machine.nodes[i] for i in used_nodes]
-
-        session = CounterSession(nodes, primary_mode=counter_modes[0],
-                                 secondary_mode=counter_modes[1],
-                                 dump_dir=dump_dir)
-        session.mpi_init()
+        by_node = placement.slots_by_node()
+        used_nodes = sorted(by_node)
+        residents = [by_node[n] for n in used_nodes]
+        node_modes = _node_counter_modes(used_nodes, counter_modes)
+        rows = np.zeros((len(used_nodes), COUNTERS_PER_MODE),
+                        dtype=np.uint64)
 
         # fault injection (off unless an injector is installed): each
         # run of this job is one RAS "attempt", so a harness retry after
@@ -360,24 +525,24 @@ class Job:
         # ---- compute: one simulation per node equivalence class -------
         # SPMD placement gives every resident rank the same work, so two
         # nodes with the same configuration and resident count perform
-        # byte-identical compute.  Simulate each class once and replicate
-        # the counter deltas to the other members via pulse_events —
-        # O(classes) node simulations instead of O(nodes).
+        # byte-identical compute.  Simulate each class once and copy its
+        # counter row to the other members — O(classes) node
+        # simulations instead of O(nodes).
         work = _program_to_work(self.program)
         compute_cycles: List[float] = [0.0] * self.num_ranks
         job_key = (self.program.name, self.program.flags_label,
                    machine.mode.name, machine.mem_config)
-        with _span("phase.compute", nodes=len(nodes)) as compute_span:
-            classes: Dict[Tuple, List[ComputeNode]] = {}
-            for node in nodes:
-                residents = placement.ranks_on_node(node.node_id)
+        with _span("phase.compute", nodes=len(used_nodes)) as compute_span:
+            node_keys: List[Tuple] = []
+            classes: Dict[Tuple, int] = {}  # key -> representative
+            for node_id, slots in zip(used_nodes, residents):
                 if self.memoize:
-                    key = (len(residents),) + job_key
+                    key = (len(slots),) + job_key
                 else:  # legacy: every node is its own class
-                    key = (len(residents), node.node_id) + job_key
-                classes.setdefault(key, []).append(node)
+                    key = (len(slots), node_id) + job_key
+                node_keys.append(key)
+                classes.setdefault(key, node_id)
             keys = list(classes)
-            simulated: Dict[int, bool] = {}
             # the shared tier (when installed) persists node-class
             # results across processes; fault-injected runs bypass it
             # in both directions so perturbed state never poisons it
@@ -399,9 +564,7 @@ class Job:
                     else:
                         pending.append(key)
             if get_jobs() > 1 and len(pending) > 1:
-                # fan the distinct classes out over the process pool;
-                # every member (including the representative) gets the
-                # replicated deltas afterwards
+                # fan the distinct classes out over the process pool
                 outs = parallel_map(
                     _simulate_node_class_shared,
                     [(key[0],) for key in pending],
@@ -410,11 +573,13 @@ class Job:
                 class_results.update(zip(pending, outs))
             else:
                 for key in pending:
-                    representative = classes[key][0]
+                    # the class representative is its first member
+                    representative = ComputeNode(
+                        node_id=classes[key], mode=machine.mode,
+                        mem_config=machine.mem_config)
                     result = representative.run([work] * key[0])
                     class_results[key] = (result.process_cycles,
                                           result.events)
-                    simulated[representative.node_id] = True
             if tier is not None:
                 for key in pending:
                     cycles, events = class_results[key]
@@ -422,45 +587,48 @@ class Job:
                              {"cycles": list(cycles),
                               "events": dict(events)})
             _NODE_CLASSES.inc(len(keys))
-            _NODE_CLASS_HITS.inc(len(nodes) - len(keys))
+            _NODE_CLASS_HITS.inc(len(used_nodes) - len(keys))
+            # one compute row per (class, counter mode): nodes of one
+            # class split across counter modes by the node-card policy
+            compute_rows: Dict[Tuple, np.ndarray] = {}
             rep_samplers: Dict[Tuple, _timeline.NodeTimelineSampler] = {}
-            for node in nodes:
-                residents = placement.ranks_on_node(node.node_id)
-                if self.memoize:
-                    key = (len(residents),) + job_key
-                else:
-                    key = (len(residents), node.node_id) + job_key
+            for i, node_id in enumerate(used_nodes):
+                key = node_keys[i]
+                upc_mode = node_modes[i]
                 cycles, events = class_results[key]
-                if not simulated.get(node.node_id):
-                    node.pulse_events(events)
+                group = (key, upc_mode)
+                row = compute_rows.get(group)
+                if row is None:
+                    row = compute_rows[group] = _counts_to_row(events,
+                                                               upc_mode)
+                rows[i] = row
                 if fault_ctx is not None:
-                    # node-level faults land on every member's own UPC
-                    # unit, after its compute counts on every engine
-                    # (the representative counted inside its run); a
-                    # node_failure raises NodeFailure out of the job
-                    fault_ctx.visit_node(node, phase="compute")
-                for slot, rank in enumerate(residents):
+                    # node-level faults land on every member's own row,
+                    # after its compute counts and before its comm
+                    # counts; a node_failure raises NodeFailure out of
+                    # the job
+                    fault_ctx.visit_node(_NodeRow(node_id, upc_mode,
+                                                  rows[i]),
+                                         phase="compute")
+                for slot, rank in enumerate(residents[i]):
                     compute_cycles[rank] = cycles[slot]
                 if sampling is not None:
-                    # nodes of the same class split across counter modes
-                    # by the node-card policy, so the sampling class is
-                    # (compute class, counter mode); the representative
-                    # samples the compute phase once, members branch
-                    upc_mode = node.upc.mode
+                    # the sampling class is (compute class, counter
+                    # mode); the representative samples the compute
+                    # phase once, members branch
                     if not sampling.events_in_mode(upc_mode):
                         continue
-                    group = (key, upc_mode)
                     rep = rep_samplers.get(group)
                     if rep is None:
                         rep = _timeline.NodeTimelineSampler(
-                            node.node_id, upc_mode, sampling)
+                            node_id, upc_mode, sampling)
                         rep.feed("compute", events, max(cycles))
                         rep_samplers[group] = rep
-                    samplers[node.node_id] = rep.branch(node.node_id)
+                    samplers[node_id] = rep.branch(node_id)
             _SAMPLED_NODES.inc(len(samplers))
             compute_span.set("cycles", max(compute_cycles, default=0.0))
             compute_span.set("classes", len(keys))
-            compute_span.set("replicated", len(nodes) - len(keys))
+            compute_span.set("replicated", len(used_nodes) - len(keys))
 
         # ---- communication: phase by phase on the networks ------------
         # phase costs are pure functions of (ops, placement, partition),
@@ -489,10 +657,8 @@ class Job:
                     _COMM_CACHE[comm_key] = cached_phases
             (_COMM_HITS if cached_phases is not None
              else _COMM_MISSES).inc()
-        computed_phases: List = []
+        phases: List[CommResult] = []
         comm_cycles = 0.0
-        comm_ddr: Dict[int, int] = {}
-        used_node_set = set(used_nodes)
         assignment = machine.mode.core_assignment()
         for op_index, op in enumerate(comm_ops):
             _BSP_PHASES.inc()
@@ -504,7 +670,6 @@ class Job:
                     comm_span.set("cached", True)
                 else:
                     comm = mpi.run(op)
-                    computed_phases.append(comm)
                 comm_span.set("cycles", comm.cycles_per_rank)
                 # an injected link stall is charged outside the phase
                 # cost so the cross-job comm cache stays clean
@@ -513,29 +678,22 @@ class Job:
                     stall = fault_ctx.link_stall(op_index, op.kind.value)
                     if stall:
                         comm_span.set("ras_stall_cycles", stall)
+            phases.append(comm)
             comm_cycles += comm.cycles_per_rank + stall
-            for node_id, events in comm.torus_events.items():
-                if node_id in used_node_set:
-                    machine.nodes[node_id].pulse_events(events)
-            if comm.collective_events:
-                for node in nodes:
-                    node.pulse_events(comm.collective_events)
-            for node_id, lines in comm.ddr_lines_per_node.items():
-                comm_ddr[node_id] = comm_ddr.get(node_id, 0) + lines
             if samplers:
                 phase_wait = int(round(comm.cycles_per_rank))
-                for node in nodes:
-                    sampler = samplers.get(node.node_id)
+                for node_id, slots in zip(used_nodes, residents):
+                    sampler = samplers.get(node_id)
                     if sampler is None:
                         continue
                     phase_events: Dict[str, int] = {}
                     for source in (
-                            comm.torus_events.get(node.node_id, {}),
+                            comm.torus_events.get(node_id, {}),
                             comm.collective_events):
                         for name, count in source.items():
                             phase_events[name] = (
                                 phase_events.get(name, 0) + count)
-                    lines = comm.ddr_lines_per_node.get(node.node_id, 0)
+                    lines = comm.ddr_lines_per_node.get(node_id, 0)
                     if lines:
                         # message staging traffic for this phase
                         phase_events["BGP_DDR0_WRITE"] = (
@@ -546,8 +704,7 @@ class Job:
                             + lines - lines // 2)
                     if phase_wait > 0:
                         # comm wait elapses on every rank-hosting core
-                        residents = placement.ranks_on_node(node.node_id)
-                        for slot in range(len(residents)):
+                        for slot in range(len(slots)):
                             for core in assignment[slot]:
                                 cname = f"BGP_PU{core}_CYCLES"
                                 phase_events[cname] = (
@@ -558,39 +715,32 @@ class Job:
         if comm_key is not None and cached_phases is None:
             while len(_COMM_CACHE) >= _COMM_CACHE_MAX:
                 _COMM_CACHE.pop(next(iter(_COMM_CACHE)))
-            _COMM_CACHE[comm_key] = computed_phases
+            _COMM_CACHE[comm_key] = phases
             if tier is not None:
                 tier.put("machine.comm_phase", (tier_ctx, comm_key),
-                         [phase.to_dict() for phase in computed_phases])
+                         [phase.to_dict() for phase in phases])
 
-        # message staging traffic: split lines across the controllers
-        for node_id, lines in comm_ddr.items():
-            machine.nodes[node_id].pulse_events({
-                "BGP_DDR0_WRITE": lines // 2,
-                "BGP_DDR1_READ": lines - lines // 2,
-            })
-
-        # comm wait time elapses on every core hosting a rank
-        comm_int = int(round(comm_cycles))
-        if comm_int > 0:
-            for node in nodes:
-                residents = placement.ranks_on_node(node.node_id)
-                # one merged delivery per node: the per-slot cores are
-                # disjoint, so the counter state is identical to a
-                # pulse per core
-                node.pulse_events(
-                    {f"BGP_PU{core}_CYCLES": comm_int
-                     for slot in range(len(residents))
-                     for core in assignment[slot]})
+        # torus, collective, message-staging and comm-wait counts land
+        # after the compute counts (and any fault) of every node;
+        # uint64 adds wrap modulo 2**64 like the UPC counters
+        rows += _comm_rows(used_nodes, [len(slots) for slots in residents],
+                           node_modes, phases, int(round(comm_cycles)),
+                           machine.mode)
 
         with _span("phase.dump") as dump_span:
-            session.mpi_finalize()
-            dump_span.set("files", len(session.dump_paths))
-            dump_bytes = [0] * machine.num_nodes
-            for path in session.dump_paths:
-                node_id = int(path.rsplit("node", 1)[1].split(".")[0])
-                dump_bytes[node_id] = os.path.getsize(path)
-            dump_io = machine.io.write_phase(dump_bytes).cycles
+            dump_paths: List[str] = []
+            if dump_dir is not None:
+                os.makedirs(dump_dir, exist_ok=True)
+                for i, node_id in enumerate(used_nodes):
+                    writer = DumpWriter(node_id=node_id,
+                                        mode=node_modes[i])
+                    writer.add_set(0, rows[i])
+                    path = os.path.join(dump_dir, dump_file_name(node_id))
+                    writer.write(path)
+                    dump_paths.append(path)
+            dump_span.set("files", len(dump_paths))
+            dump_io = _dump_io_cycles(machine.io, machine.num_nodes,
+                                      used_nodes)
             dump_span.set("cycles", dump_io)
 
         elapsed = max(c + comm_cycles for c in compute_cycles)
@@ -607,7 +757,7 @@ class Job:
                 program=self.program.name,
                 flags=self.program.flags_label,
                 mode_name=machine.mode.name,
-                num_nodes=len(nodes),
+                num_nodes=len(used_nodes),
                 num_ranks=self.num_ranks,
                 sample_every=sampling.sample_every,
                 elapsed_cycles=elapsed,
@@ -629,8 +779,8 @@ class Job:
             elapsed_cycles=elapsed,
             compute_cycles_per_rank=compute_cycles,
             comm_cycles_per_rank=comm_cycles,
-            aggregation=session.aggregation(),
-            dump_paths=session.dump_paths,
+            aggregation=Aggregation.from_rows(used_nodes, node_modes, rows),
+            dump_paths=dump_paths,
             dump_io_cycles=dump_io,
             timeline=timeline,
         )

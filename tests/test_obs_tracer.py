@@ -172,24 +172,47 @@ def test_job_run_produces_nested_job_phase_spans():
     assert len(node_runs) == 1
     assert compute.attrs["classes"] == 1
     assert compute.attrs["replicated"] == 1
-    # the BGP_Start/Stop marker spans line up with the counter regions
-    markers = by_name["BGP_set0"]
-    assert len(markers) == 2  # one per node
-    assert all(m.attrs["kind"] == "marker" for m in markers)
-    assert all(m.attrs["events"] > 0 for m in markers)
     # communication charge spans exist under the comm phase
     comm = by_name["phase.comm"][0]
     assert comm.attrs["kind"] == "allreduce"
     assert comm.attrs["cycles"] > 0
+    # Job.run keeps counters as in-memory rows: no per-node interface
+    assert "BGP_set0" not in by_name
+    # the BGP_Start/Stop marker spans line up with the counter regions
+    # of a CounterSession, one per instrumented node
+    from repro.core import CounterSession
+    from repro.node import ComputeNode
+
+    nodes = [ComputeNode(node_id=i) for i in range(2)]
+    with tracer.recording() as t:
+        with CounterSession(nodes, primary_mode=0, secondary_mode=2):
+            for node in nodes:
+                node.pulse_events({"BGP_PU0_FPU_FMA": 5,
+                                   "BGP_L3_MISS": 3})
+    markers = [s for s in t.spans if s.name == "BGP_set0"]
+    assert len(markers) == 2  # one per node
+    assert all(m.attrs["kind"] == "marker" for m in markers)
+    assert all(m.attrs["events"] > 0 for m in markers)
 
 
-def test_dump_span_counts_the_files_finalize_wrote():
-    """phase.dump records one file per node that hosts a rank."""
+def test_dump_span_counts_the_files_finalize_wrote(tmp_path):
+    """phase.dump records one file per node that hosts a rank, and
+    none unless the caller asked for dumps."""
+    from repro.runtime import Job, Machine
+
+    with tracer.recording() as t:
+        machine = Machine(4, mode=OperatingMode.SMP1)
+        result = Job(machine, _tiny_program(), 3).run(
+            dump_dir=str(tmp_path))
+    (dump,) = [s for s in t.spans if s.name == "phase.dump"]
+    assert dump.attrs["files"] == len(result.dump_paths) == 3
+
     with tracer.recording() as t:
         result = run_job(_tiny_program(), num_ranks=3, num_nodes=4,
                          mode=OperatingMode.SMP1)
     (dump,) = [s for s in t.spans if s.name == "phase.dump"]
-    assert dump.attrs["files"] == len(result.dump_paths) == 3
+    assert dump.attrs["files"] == 0
+    assert result.dump_paths == []
 
 
 def test_traced_experiment_span_wraps_runner():
