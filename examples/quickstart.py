@@ -67,30 +67,30 @@ def main() -> None:
     iface.stop(1)
 
     # 3. finalize: dump the per-node binary, then post-process it
-    dump_dir = tempfile.mkdtemp(prefix="bgp_quickstart_")
-    iface.finalize(dump_dir)
-    dumps = load_dumps(dump_dir)
+    with tempfile.TemporaryDirectory(prefix="bgp_quickstart_") as dump_dir:
+        iface.finalize(dump_dir)
+        dumps = load_dumps(dump_dir)
 
-    for set_id, label in ((0, "hot compute region"),
-                          (1, "memory-bound region")):
-        agg = aggregate(dumps, set_id=set_id)
-        named = agg.totals()
-        print(f"--- set {set_id}: {label} ---")
-        print(f"  cycles          : {named['BGP_PU0_CYCLES']:>12,}")
-        print(f"  instructions    : "
-              f"{named['BGP_PU0_INST_COMPLETED']:>12,}")
-        print(f"  MFLOPS          : {mflops(named):>12,.1f}")
-        print(f"  L1 read misses  : "
-              f"{named['BGP_PU0_L1D_READ_MISS']:>12,}")
-        profile = fp_profile(named)
-        dominant = max(profile, key=profile.get)
-        print(f"  dominant FP op  : {dominant} "
-              f"({profile[dominant]:.0%} of FP instructions)")
+        for set_id, label in ((0, "hot compute region"),
+                              (1, "memory-bound region")):
+            agg = aggregate(dumps, set_id=set_id)
+            named = agg.totals()
+            print(f"--- set {set_id}: {label} ---")
+            print(f"  cycles          : {named['BGP_PU0_CYCLES']:>12,}")
+            print(f"  instructions    : "
+                  f"{named['BGP_PU0_INST_COMPLETED']:>12,}")
+            print(f"  MFLOPS          : {mflops(named):>12,.1f}")
+            print(f"  L1 read misses  : "
+                  f"{named['BGP_PU0_L1D_READ_MISS']:>12,}")
+            profile = fp_profile(named)
+            dominant = max(profile, key=profile.get)
+            print(f"  dominant FP op  : {dominant} "
+                  f"({profile[dominant]:.0%} of FP instructions)")
 
-    # 4. the spreadsheet-ready CSV the paper's tools emit
-    csv_path = f"{dump_dir}/stats.csv"
-    rows = write_stats_csv(aggregate(dumps, set_id=0), csv_path)
-    print(f"\nwrote {rows} counter rows to {csv_path}")
+        # 4. the spreadsheet-ready CSV the paper's tools emit
+        csv_path = f"{dump_dir}/stats.csv"
+        rows = write_stats_csv(aggregate(dumps, set_id=0), csv_path)
+        print(f"\nwrote {rows} counter rows to stats.csv")
     print(f"interface overhead: {iface.overhead_cycles} cycles "
           f"(paper: 196 for init+start+stop)")
 

@@ -142,36 +142,6 @@ class CounterMonitor:
                                          delta=delta))
             self._last_values[name] = value
 
-    def fork(self, upc: Optional[UPCUnit] = None) -> "CounterMonitor":
-        """A new monitor continuing from this monitor's state.
-
-        The fork watches the same events with the same period, starts at
-        this monitor's current cycle and last-sample baselines, and has
-        *empty* series.  The job-level telemetry pipeline uses this to
-        replicate one sampled class representative to its equivalence
-        class members: each member forks the representative's
-        post-compute state and then samples only its own communication
-        phases, sharing the (identical) compute-phase series by
-        reference instead of copying it per node.
-
-        ``upc`` attaches the fork to a different unit (it must be in the
-        same counter mode); default is the representative's own unit.
-        """
-        target = self.upc if upc is None else upc
-        if target.mode != self.upc.mode:
-            raise ValueError(
-                f"fork target runs counter mode {target.mode}, "
-                f"expected {self.upc.mode}")
-        twin = CounterMonitor.__new__(CounterMonitor)
-        twin.upc = target
-        twin.period_cycles = self.period_cycles
-        twin.series = {name: EventSeries(event=s.event)
-                       for name, s in self.series.items()}
-        twin._last_values = dict(self._last_values)
-        twin._now = self._now
-        twin._next_sample = self._next_sample
-        return twin
-
     def flush(self) -> None:
         """Take one final sample at the current cycle (end of run)."""
         if self._now > 0 and (

@@ -6,14 +6,16 @@ counters while a job runs (Section I).  :mod:`repro.core.monitor` gives
 us that thread for one node; this module scales it to the whole machine,
 in the style of ScALPEL / SUPReMM / LIKWID job telemetry:
 
-* during :meth:`repro.runtime.Job.run` a
-  :class:`~repro.core.monitor.CounterMonitor` is attached to every
-  monitored node, sampling a configurable event set every
-  ``sample_every`` simulated cycles;
+* during :meth:`repro.runtime.Job.run` one integer sampler
+  (:class:`NodeTimelineSampler`) runs per monitored node, sampling a
+  configurable event set every ``sample_every`` simulated cycles.  It
+  computes what a :class:`~repro.core.monitor.CounterMonitor` reading a
+  UPC unit would see, on plain Python ints: no register file, so
+  monitoring stays cheap next to the work it observes;
 * the memoized engine samples **one representative per node-equivalence
   class** and replicates the compute-phase series to the class members
-  (via :meth:`CounterMonitor.fork`), exactly as counter deltas are
-  replicated — per-node series are byte-identical to the legacy
+  (via :meth:`NodeTimelineSampler.branch`), exactly as counter deltas
+  are replicated — per-node series are byte-identical to the legacy
   ``memoize=False`` engine;
 * the per-node series roll up into a :class:`JobTimeline`: per-event
   min/mean/max/percentile bands across nodes, load-imbalance statistics,
@@ -45,9 +47,8 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..core.counters import UPCUnit
-from ..core.events import EVENTS_BY_NAME, event_by_name
-from ..core.monitor import CounterMonitor
+from ..core.config import COUNTER_MASK
+from ..core.events import EVENTS_BY_NAME
 
 
 def _default_sample_events() -> Tuple[str, ...]:
@@ -120,13 +121,17 @@ class TimelineAlert:
 class NodeTimelineSampler:
     """The monitoring thread of one node during one job run.
 
-    Owns a shadow :class:`UPCUnit` in the node's counter mode and a
-    :class:`CounterMonitor` over it.  The job engine *feeds* it: each
-    BSP phase hands over its named event totals and its cycle span, and
-    the sampler distributes the events across the sample boundaries
-    inside the span (see the module docstring).  The shadow unit keeps
-    the sampling pipeline entirely out of the real dumps' way — the
-    node's own UPC unit sees exactly the pulses it always saw.
+    The job engine *feeds* it: each BSP phase hands over its named
+    event totals and its cycle span, and the sampler distributes the
+    events across the sample boundaries inside the span (see the module
+    docstring).  Per sampled event it keeps the counter value modulo
+    2**64, its value at the last sample and the ``(cycle, delta)``
+    series, all plain Python ints, and does the arithmetic of a UPC unit
+    read back by a :class:`~repro.core.monitor.CounterMonitor` at every
+    boundary, without a register file.  Thresholds are held as the
+    threshold registers hold them (masked to 64 bits, off when the
+    masked value is 0) and raise an alert where the unit would raise a
+    thresholding interrupt.  No node's counters are touched.
     """
 
     def __init__(self, node_id: int, mode: int, config: TimelineConfig):
@@ -137,22 +142,22 @@ class NodeTimelineSampler:
         self.node_id = node_id
         self.mode = mode
         self.config = config
-        self.upc = UPCUnit(node_id=node_id)
-        self.upc.mode = mode
-        self.alerts: List[TimelineAlert] = []
-        for name in names:
-            threshold = config.thresholds.get(name)
+        #: event name -> counter value modulo 2**64 (sampling order)
+        self._values: Dict[str, int] = dict.fromkeys(names, 0)
+        #: event name -> counter value at the last sample
+        self._last: Dict[str, int] = dict(self._values)
+        #: event name -> (cycle, delta) samples taken by this sampler
+        self._series: Dict[str, List[Tuple[int, int]]] = {
+            name: [] for name in self._values}
+        #: event name -> armed threshold register value
+        self._thresholds: Dict[str, int] = {}
+        for name in self._values:
+            # a threshold register is 64 bits wide; 0 leaves it disarmed
+            threshold = (config.thresholds.get(name) or 0) & COUNTER_MASK
             if threshold:
-                self.upc.configure(event_by_name(name).counter,
-                                   interrupt_enable=True,
-                                   threshold=threshold)
-        self._cycle_hint = 0
-        self.upc.on_interrupt(lambda irq: self.alerts.append(
-            TimelineAlert(node_id=self.node_id, cycle=self._cycle_hint,
-                          event=irq.event_name, threshold=irq.threshold,
-                          value=irq.value)))
-        self.monitor = CounterMonitor(self.upc, names,
-                                      period_cycles=config.sample_every)
+                self._thresholds[name] = int(threshold)
+        self._now = 0
+        self.alerts: List[TimelineAlert] = []
         #: series sampled before this sampler was branched (shared, not
         #: copied, across an equivalence class — replication for free)
         self._base_series: Dict[str, List[Tuple[int, int]]] = {}
@@ -163,6 +168,27 @@ class NodeTimelineSampler:
         self.phases: List[Tuple[str, int, int]] = []
 
     # ------------------------------------------------------------------
+    def _count(self, name: str, amount: int, cycle: int) -> None:
+        """Add ``amount`` to one counter; alert on a threshold crossing."""
+        old = self._values[name]
+        new = self._values[name] = (old + amount) & COUNTER_MASK
+        threshold = self._thresholds.get(name)
+        if threshold and (old < threshold <= new
+                          or (new < old and threshold > old)):  # wrapped
+            self.alerts.append(TimelineAlert(
+                node_id=self.node_id, cycle=cycle, event=name,
+                threshold=threshold, value=new))
+
+    def _sample(self, cycle: int) -> None:
+        """Append one ``(cycle, delta)`` sample to every event's series."""
+        idle = (cycle, 0)  # one tuple for every event that did not move
+        for series, value, last in zip(self._series.values(),
+                                       self._values.values(),
+                                       self._last.values()):
+            series.append((cycle, (value - last) & COUNTER_MASK)
+                          if value != last else idle)
+        self._last = self._values.copy()
+
     def feed(self, label: str, events: Dict[str, int],
              cycles: float) -> None:
         """One BSP phase: distribute its events over its cycle span."""
@@ -170,34 +196,30 @@ class NodeTimelineSampler:
         if span < 0:
             raise ValueError(f"negative phase span: {cycles}")
         self._branch_series = None
-        monitor = self.monitor
-        start = monitor.now
+        start = self._now
         end = start + span
         totals = {name: int(count) for name, count in events.items()
-                  if count > 0 and name in monitor.series}
+                  if count > 0 and name in self._values}
         pulsed = dict.fromkeys(totals, 0)
-        if span > 0 and totals:
-            period = monitor.period_cycles
+        if span > 0:
+            period = self.config.sample_every
             boundary = (start // period + 1) * period
             while boundary <= end:
-                self._cycle_hint = boundary
                 frac = (boundary - start) / span
                 for name, total in totals.items():
                     target = int(total * frac)
                     share = target - pulsed[name]
                     if share > 0:
-                        self.upc.pulse(name, share)
+                        self._count(name, share, boundary)
                         pulsed[name] = target
-                monitor.advance(boundary - monitor.now)
+                self._sample(boundary)
                 boundary += period
         # the tail segment: per-phase totals are preserved exactly
-        self._cycle_hint = end
         for name, total in totals.items():
             rest = total - pulsed[name]
             if rest > 0:
-                self.upc.pulse(name, rest)
-        if end > monitor.now:
-            monitor.advance(end - monitor.now)
+                self._count(name, rest, end)
+        self._now = end
         self.phases.append((label, start, end))
 
     # ------------------------------------------------------------------
@@ -206,40 +228,28 @@ class NodeTimelineSampler:
 
         The branch starts where this sampler stands: the samples taken
         so far become the member's (shared, read-only) base series, the
-        monitor is forked onto a fresh shadow unit with the same counter
-        values, and alerts raised so far are re-labelled with the
-        member's node id.  Feeding both the original and the branch the
-        same subsequent phases yields byte-identical per-node series.
+        counter values and last-sample values are copied, and alerts
+        raised so far are re-labelled with the member's node id.
+        Feeding both the original and the branch the same subsequent
+        phases yields byte-identical per-node series.
         """
         twin = NodeTimelineSampler.__new__(NodeTimelineSampler)
         twin.node_id = node_id
         twin.mode = self.mode
         twin.config = self.config
-        twin.upc = UPCUnit(node_id=node_id)
-        twin.upc.mode = self.mode
+        twin._values = self._values.copy()
+        twin._last = self._last.copy()
+        twin._series = {name: [] for name in self._values}
+        twin._thresholds = self._thresholds
+        twin._now = self._now
         twin.alerts = []
-        twin._cycle_hint = self._cycle_hint
-        for name in self.monitor.series:
-            ev = event_by_name(name)
-            twin.upc.registers.set_counter(ev.counter,
-                                           self.upc.read(ev.counter))
-            threshold = self.config.thresholds.get(name)
-            if threshold:
-                twin.upc.configure(ev.counter, interrupt_enable=True,
-                                   threshold=threshold)
-        twin.upc.on_interrupt(lambda irq: twin.alerts.append(
-            TimelineAlert(node_id=twin.node_id, cycle=twin._cycle_hint,
-                          event=irq.event_name, threshold=irq.threshold,
-                          value=irq.value)))
-        twin.monitor = self.monitor.fork(twin.upc)
         if self._branch_series is None:
             # built once per sampler state: a class representative
             # branches to every member, and rebuilding the series per
             # member would cost O(members x samples)
             self._branch_series = {
-                name: self._base_series.get(name, [])
-                + [(s.cycle, s.delta) for s in series.samples]
-                for name, series in self.monitor.series.items()}
+                name: self._base_series.get(name, []) + series
+                for name, series in self._series.items()}
         twin._base_series = self._branch_series
         twin._branch_series = None
         twin._base_alerts = (self._base_alerts
@@ -250,13 +260,16 @@ class NodeTimelineSampler:
 
     # ------------------------------------------------------------------
     def finish(self) -> "NodeTimeline":
-        """Flush the monitor and freeze this node's timeline."""
-        self.monitor.flush()
+        """Take the closing sample and freeze this node's timeline.
+
+        The closing sample lands at the current cycle, and only if some
+        counter moved since the last sample.
+        """
+        if self._now > 0 and self._values != self._last:
+            self._sample(self._now)
         self._branch_series = None
-        samples = {
-            name: self._base_series.get(name, [])
-            + [(s.cycle, s.delta) for s in series.samples]
-            for name, series in self.monitor.series.items()}
+        samples = {name: self._base_series.get(name, []) + series
+                   for name, series in self._series.items()}
         return NodeTimeline(
             node_id=self.node_id,
             mode=self.mode,

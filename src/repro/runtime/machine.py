@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -333,16 +334,21 @@ class JobResult:
     # ------------------------------------------------------------------
     # whole-machine metric helpers
     # ------------------------------------------------------------------
-    def scaled_totals(self) -> Dict[str, int]:
-        """Estimated whole-machine event totals.
-
-        The 512-event node-card split means each event was monitored on
-        a *subset* of nodes; symmetric SPMD workloads let us scale the
-        per-node mean back up to the full partition.
-        """
+    @cached_property
+    def _scaled_totals(self) -> Dict[str, int]:
         n = self.placement.num_nodes
         return {name: int(round(stats.mean * n))
                 for name, stats in self.aggregation.stats.items()}
+
+    def scaled_totals(self) -> Dict[str, int]:
+        """Estimated whole-machine event totals (a fresh dict per call).
+
+        The 512-event node-card split means each event was monitored on
+        a *subset* of nodes; symmetric SPMD workloads let us scale the
+        per-node mean back up to the full partition.  Computed once per
+        result; the metric helpers below read that one dict.
+        """
+        return dict(self._scaled_totals)
 
     @property
     def elapsed_seconds(self) -> float:
@@ -353,13 +359,13 @@ class JobResult:
         with the job's elapsed cycles as the rate base."""
         from ..groups import get_group
         return get_group("BGP_BASE").evaluate(
-            self.scaled_totals(),
+            self._scaled_totals,
             params={"cycles": self.elapsed_cycles},
             only=(metric,))[metric]
 
     def total_flops(self) -> float:
         """Machine-wide floating point operations."""
-        return total_flops(self.scaled_totals())
+        return total_flops(self._scaled_totals)
 
     def mflops_total(self) -> float:
         """Machine-wide MFLOPS over the elapsed time."""
@@ -381,7 +387,7 @@ class JobResult:
 
     def fp_profile(self) -> Dict[str, float]:
         """Machine-wide dynamic FP instruction mix (Figure 6)."""
-        return fp_profile(self.scaled_totals())
+        return fp_profile(self._scaled_totals)
 
     def simd_instructions(self) -> int:
         return self._group_metric("simd_instructions")
@@ -516,7 +522,7 @@ class Job:
                  machine.mode.name, self.num_ranks, machine.num_nodes,
                  machine.mem_config.l3.size_bytes))
 
-        # job-level telemetry: one shadow sampler per monitored node,
+        # job-level telemetry: one integer sampler per monitored node,
         # created per node class below so the memoized engine samples
         # each class representative once and replicates the series
         sampling = _timeline.resolve_config(self.sample_every)

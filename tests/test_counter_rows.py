@@ -269,3 +269,16 @@ def test_custom_counters_example_leaves_no_dumps(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "events monitored in one run: 512" in proc.stdout
     assert _entries(tmp_path) == []
+
+
+def test_quickstart_example_leaves_tmpdir_empty(tmp_path):
+    """The Section IV walk-through removes its dump directory."""
+    env = dict(os.environ, TMPDIR=str(tmp_path),
+               PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "examples" / "quickstart.py")],
+        cwd=str(tmp_path), env=env, capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "interface overhead" in proc.stdout
+    assert os.listdir(tmp_path) == []

@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.compiler import O5, compile_program
-from repro.core.counters import UPCUnit
 from repro.node import OperatingMode
 from repro.npb import build_benchmark
 from repro.obs import timeline as tl
@@ -314,42 +313,3 @@ def test_job_thresholds_surface_as_alert_stream(small_mg):
     assert alerts, "a class-A MG run passes 1M instructions"
     assert all(a.event == "BGP_PU0_INST_COMPLETED" for a in alerts)
     assert alerts == sorted(alerts, key=lambda a: (a.cycle, a.node_id))
-
-
-# ---------------------------------------------------------------------------
-# CounterMonitor.fork (the replication primitive)
-# ---------------------------------------------------------------------------
-def test_monitor_fork_continues_from_state():
-    from repro.core.monitor import CounterMonitor
-
-    upc = UPCUnit(node_id=0)
-    upc.mode = 0
-    monitor = CounterMonitor(upc, ["BGP_PU0_CYCLES"], period_cycles=100)
-    upc.pulse("BGP_PU0_CYCLES", 500)
-    monitor.advance(250)
-
-    other = UPCUnit(node_id=1)
-    other.mode = 0
-    ev = monitor.series["BGP_PU0_CYCLES"].event
-    other.registers.set_counter(ev.counter, upc.read(ev.counter))
-    fork = monitor.fork(other)
-    assert fork.now == monitor.now
-    assert fork.series["BGP_PU0_CYCLES"].samples == []  # empty series
-
-    other.pulse("BGP_PU0_CYCLES", 70)
-    fork.advance(100)
-    (sample,) = fork.series["BGP_PU0_CYCLES"].samples
-    assert sample.cycle == 300
-    assert sample.delta == 70  # baseline carried over, not re-counted
-
-
-def test_monitor_fork_rejects_mode_mismatch():
-    from repro.core.monitor import CounterMonitor
-
-    upc = UPCUnit(node_id=0)
-    upc.mode = 0
-    monitor = CounterMonitor(upc, ["BGP_PU0_CYCLES"], period_cycles=100)
-    wrong = UPCUnit(node_id=1)
-    wrong.mode = 2
-    with pytest.raises(ValueError, match="counter mode"):
-        monitor.fork(wrong)
