@@ -4,7 +4,7 @@ Runs the paper's 64-node figure sweep (all eight class-C NPB kernels
 across the five Figure-11 L3 sizes, 256 ranks in VNM) three times:
 
 * **baseline** — the pre-engine behavior: scalar analytical / torus /
-  pipeline paths, no node-equivalence memoization, one worker;
+  pipeline paths, no node-equivalence memoization;
 * **engine** — node memoization + comm-phase cache, scalar inner
   engines (the PR-2 state of the world);
 * **vector** — the same engine with the batched analytical, torus and
@@ -37,7 +37,7 @@ from repro.harness.sweep import PAPER_L3_SIZES_MB, compiled_benchmark
 from repro.mem import NodeMemoryConfig
 from repro.node import OperatingMode
 from repro.npb import BENCHMARK_ORDER
-from repro.parallel import set_jobs, set_vectorize
+from repro.parallel import set_vectorize
 from repro.runtime.machine import Job, Machine, clear_comm_cache
 
 MB = 1024 * 1024
@@ -73,7 +73,6 @@ def main() -> int:
 
     points = len(BENCHMARK_ORDER) * len(PAPER_L3_SIZES_MB)
     print(f"sweep: {points} points ({NODES} nodes, {RANKS} ranks, VNM)")
-    set_jobs(1)
 
     try:
         baseline_s, baseline_r = run_sweep(memoize=False, vectorize=False)

@@ -16,9 +16,6 @@ across the five Figure-11 L3 sizes, 256 ranks in VNM) three ways:
 
 All three legs must agree byte-for-byte on **every** point (not just
 the last one); the benchmark asserts it before writing any timing.
-The record also documents the worker-payload shrink from hoisting the
-invariant per-job context into the pool initializer (``shared=``):
-what one node-class task pickles now vs what it pickled before.
 
 Run with::
 
@@ -31,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import pickle
 import sys
 import time
 
@@ -47,11 +43,10 @@ from repro.harness.sweep import (  # noqa: E402
 from repro.mem import NodeMemoryConfig  # noqa: E402
 from repro.node import OperatingMode  # noqa: E402
 from repro.npb import BENCHMARK_ORDER  # noqa: E402
-from repro.parallel import set_jobs, set_vectorize  # noqa: E402
+from repro.parallel import set_vectorize  # noqa: E402
 from repro.runtime.machine import (  # noqa: E402
     Job,
     Machine,
-    _program_to_work,
     clear_comm_cache,
 )
 
@@ -103,19 +98,6 @@ def run_batched() -> tuple:
     return time.perf_counter() - start, results
 
 
-def payload_note() -> dict:
-    """Node-class task payload: before vs after the ``shared=`` hoist."""
-    program = compiled_benchmark("cg", O5())
-    machine = Machine(NODES, mode=OperatingMode.VNM)
-    work = _program_to_work(program)
-    residents = 4
-    before = len(pickle.dumps(
-        (machine.mode, machine.mem_config, work, residents, True)))
-    after = len(pickle.dumps((residents,)))
-    return {"before_bytes": before, "after_bytes": after,
-            "shrink": round(before / after, 1) if after else None}
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--gate", type=float, default=None,
@@ -131,7 +113,6 @@ def main(argv=None) -> int:
 
     points = len(BENCHMARK_ORDER) * len(PAPER_L3_SIZES_MB)
     print(f"sweep: {points} points ({NODES} nodes, {RANKS} ranks, VNM)")
-    set_jobs(1)
 
     try:
         baseline_s, baseline_r = run_per_point(memoize=False,
@@ -166,7 +147,6 @@ def main(argv=None) -> int:
             "sweep_points": points,
             "vector_speedup": round(baseline_s / vector_s, 2),
             "batch_over_vector": round(vector_s / batch_s, 2),
-            "node_class_task_payload": payload_note(),
         })
     benchlib.write_record(record, args.out)
 

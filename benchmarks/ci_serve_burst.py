@@ -3,8 +3,8 @@
 Starts a real ``python -m repro serve`` process, fires a concurrent
 burst of sweep and experiment requests at it, checks the served
 results byte-identical against the offline ``python -m repro`` path,
-then asserts a clean shutdown: exit code 0 and no orphaned worker
-processes left in the server's process group.
+then asserts a clean shutdown: exit code 0 and no process left in the
+server's process group.
 
 Usage::
 
@@ -53,8 +53,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--clients", type=int, default=6,
                         help="concurrent burst size (default 6)")
-    parser.add_argument("--jobs", type=int, default=2,
-                        help="server worker processes (default 2)")
     parser.add_argument("--out", default="serve-telemetry",
                         help="server telemetry directory")
     args = parser.parse_args()
@@ -66,8 +64,7 @@ def main() -> int:
          env.get("PYTHONPATH", "")])
     server = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--port", str(port),
-         "--cache", "serve-cache", "--telemetry", args.out,
-         "--jobs", str(args.jobs)],
+         "--cache", "serve-cache", "--telemetry", args.out],
         env=env, start_new_session=True)
     client = ServeClient(port=port)
     try:
@@ -137,7 +134,7 @@ def main() -> int:
             orphaned = True
         except (ProcessLookupError, PermissionError):
             orphaned = False
-        assert not orphaned, "orphaned workers in server process group"
+        assert not orphaned, "orphaned processes in server process group"
         assert os.path.exists(os.path.join(args.out, "requests.jsonl"))
         assert os.path.exists(os.path.join(args.out, "metrics.json"))
         print("[serve-burst] clean shutdown, telemetry exported")

@@ -21,14 +21,14 @@ Usage::
                                     # sample/derive through a named
                                     # performance group instead of the
                                     # default BGP_BASE
-    python -m repro summarize-fleet runs/ --datasource sqlite -j 4
+    python -m repro summarize-fleet runs/ --datasource sqlite
                                     # index an archive of runs and
                                     # build the cross-run fleet report
                                     # (fleet_report.md/json)
     python -m repro gen-corpus runs/ --runs 20
                                     # generate a deterministic corpus
                                     # of small archived runs
-    python -m repro --jobs 4 --resume ckpt/
+    python -m repro --resume ckpt/
                                     # checkpoint every completed sweep
                                     # point/experiment into ckpt/; an
                                     # interrupted run restarted with the
@@ -36,7 +36,7 @@ Usage::
     python -m repro fault-audit --faults seed=7,link_stall_rate=0.1
                                     # seeded fault injection (RAS log
                                     # exported as ras.jsonl)
-    python -m repro serve --port 8423 --cache .repro-cache -j 4
+    python -m repro serve --port 8423 --cache .repro-cache
                                     # always-on simulation service with
                                     # the shared cross-request cache
                                     # tier (POST /v1/sweep,
@@ -48,7 +48,7 @@ Usage::
 
 Experiment tables go to stdout; progress/telemetry goes to the
 structured log on stderr (``-v`` for timings, ``-vv`` for debug,
-``-q`` for errors only).
+``-q`` for errors only).  Every simulation runs in this process.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ from .harness import (
 )
 from .obs import kv, metrics, setup_logging, tracer
 from .obs import timeline as obs_timeline
-from .parallel import set_batch_sweep, set_jobs, set_vectorize
+from .parallel import set_batch_sweep, set_vectorize
 
 
 def main(argv=None) -> int:
@@ -103,12 +103,6 @@ def main(argv=None) -> int:
     parser.add_argument("--json", metavar="DIR", default=None,
                         help="also write each experiment's full result "
                              "to DIR/<experiment>.json")
-    parser.add_argument("--jobs", "-j", type=int, default=1,
-                        metavar="N",
-                        help="worker processes for independent sweep "
-                             "points and node equivalence classes "
-                             "(default 1: fully serial, deterministic "
-                             "and byte-identical results)")
     parser.add_argument("--trace", metavar="DIR", default=None,
                         help="record simulator spans; write Chrome/"
                              "Perfetto trace.json, spans.jsonl and "
@@ -172,9 +166,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     log = setup_logging(-1 if args.quiet else args.verbose)
-    if args.jobs < 1:
-        parser.error(f"--jobs must be >= 1, got {args.jobs}")
-    set_jobs(args.jobs)
     if args.no_vectorize:
         set_vectorize(False)
     if args.batch_sweep:
@@ -406,10 +397,10 @@ def _serve_main(argv) -> int:
                         default=512 * 1024 * 1024, metavar="N",
                         help="LRU bound: max cache directory size "
                              "(default 512 MiB)")
-    parser.add_argument("--jobs", "-j", type=int, default=1,
-                        metavar="N",
-                        help="worker processes per request for "
-                             "independent sweep points (default 1)")
+    # accepted for launch scripts that still pass it; 1 is the only
+    # value, since every simulation runs in the service's own process
+    parser.add_argument("--jobs", type=int, choices=[1], default=1,
+                        help=argparse.SUPPRESS)
     parser.add_argument("--max-active", type=int, default=4,
                         metavar="N",
                         help="requests simulating concurrently; "
@@ -440,8 +431,6 @@ def _serve_main(argv) -> int:
                         help="log errors only")
     args = parser.parse_args(argv)
     setup_logging(-1 if args.quiet else max(1, args.verbose))
-    if args.jobs < 1:
-        parser.error(f"--jobs must be >= 1, got {args.jobs}")
     if not 0 <= args.port <= 65535:
         parser.error(f"--port must be in [0, 65535], got {args.port}")
     if args.no_vectorize:
@@ -457,7 +446,7 @@ def _serve_main(argv) -> int:
     config = ServeConfig(host=args.host, port=args.port,
                          cache_dir=args.cache,
                          max_records=args.max_records,
-                         max_bytes=args.max_bytes, jobs=args.jobs,
+                         max_bytes=args.max_bytes,
                          max_active=args.max_active,
                          telemetry_dir=args.telemetry,
                          batch_sweep=args.batch_sweep,
@@ -516,10 +505,6 @@ def _fleet_main(argv) -> int:
     parser.add_argument("--out", metavar="DIR", default=None,
                         help="write fleet_report.md/json here "
                              "(default: the archive root)")
-    parser.add_argument("--jobs", "-j", type=int, default=1,
-                        metavar="N",
-                        help="worker processes for the per-run fan-out "
-                             "(default 1: serial)")
     parser.add_argument("--trace", metavar="DIR", default=None,
                         help="record the scan's own spans/metrics into "
                              "DIR (trace.json, spans.jsonl, "
@@ -530,9 +515,6 @@ def _fleet_main(argv) -> int:
                         help="log errors only")
     args = parser.parse_args(argv)
     log = setup_logging(-1 if args.quiet else args.verbose)
-    if args.jobs < 1:
-        parser.error(f"--jobs must be >= 1, got {args.jobs}")
-    set_jobs(args.jobs)
     import os
     if not os.path.isdir(args.directory):
         parser.error(f"{args.directory!r} is not a directory")
@@ -547,7 +529,7 @@ def _fleet_main(argv) -> int:
         try:
             summary = summarize_fleet(
                 args.directory, datasource=args.datasource,
-                plugins=plugins, jobs=args.jobs, out_dir=args.out)
+                plugins=plugins, out_dir=args.out)
         except (KeyError, ValueError, OSError) as exc:
             parser.error(str(exc))
     finally:

@@ -2,7 +2,7 @@
 and the always-on service's shared cross-request cache tier.
 
 A sweep over class-C NPB kernels is minutes of simulation; a SIGINT,
-a dead worker or a batch-system preemption at minute nine should not
+a killed process or a batch-system preemption at minute nine should not
 cost the first eight.  :class:`CheckpointStore` persists every
 completed unit of work — a memoized sweep point, a finished
 experiment's row table — as its own small JSON file, written atomically
@@ -16,7 +16,8 @@ a file whose recorded key disagrees, or that fails to parse, is treated
 as absent (with a logged warning) rather than poisoning the resume.
 
 Concurrency: the store is shared by *processes*, not just threads —
-``python -m repro serve`` points every worker at one directory.  Two
+every ``python -m repro serve`` instance and ``--shared-cache``
+offline run may point at one directory.  Two
 protections make that safe:
 
 * :meth:`CheckpointStore.save` serialises same-record writers through a

@@ -12,10 +12,9 @@ actually fires.
 Everything is derived from one seed via SHA-256 over the decision's
 context (job identity, attempt number, node id, fault class) — never
 Python's salted ``hash()`` — so the same :class:`FaultConfig` produces
-the same RAS event log on every run, in any process, at any ``--jobs``
-count.  Injection is **off by default**: with no injector installed
-(or all rates zero) the simulator's behaviour is bit-identical to a
-build without this module.
+the same RAS event log on every run, in any process.  Injection is
+**off by default**: with no injector installed (or all rates zero) the
+simulator's behaviour is bit-identical to a build without this module.
 
 Fault classes
 -------------

@@ -20,9 +20,8 @@ SUPReMM/XDMoD job summarization:
   summary tables live behind one ``create_datasource`` factory with a
   JSONL-directory backend and a SQLite backend that produce identical
   tables;
-* :mod:`repro.fleet.summarize` — the engine: refresh the catalog, fan
-  the delta over :func:`repro.parallel.parallel_map` (riding its
-  retry/timeout/respawn resilience), commit rows, and render
+* :mod:`repro.fleet.summarize` — the engine: refresh the catalog,
+  summarize the delta run by run, commit rows, and render
   ``fleet_report.md``/``fleet_report.json`` with cross-run percentile
   bands and outlier-run flags;
 * :mod:`repro.fleet.corpus` — a deterministic small-run corpus

@@ -4,8 +4,7 @@ Each derived-metric summarizer is a :class:`SummarizerPlugin` subclass
 that *declares* what it needs — artifact files
 (``requires_artifacts``) and counter events (``requires_events``) —
 and implements ``process(run, artifacts) -> row``.  The engine
-instantiates one plugin per (run, plugin) pair inside the pool worker,
-counts every ``process`` call on a metrics counter
+instantiates one plugin per (run, plugin) pair, counts every ``process`` call on a metrics counter
 (``fleet.process.<name>``; the incremental-rescan acceptance test
 reads it), and commits the returned row into the plugin's summary
 table.  A plugin that cannot summarize a run raises :class:`SkipRun`
@@ -24,7 +23,7 @@ from __future__ import annotations
 
 import importlib
 import os
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Type
+from typing import Any, Dict, Iterable, List, Optional, Type
 
 from ..obs import metrics as _metrics
 from ..obs.logging import get_logger, kv
@@ -171,7 +170,7 @@ def available_plugins() -> Dict[str, Type[SummarizerPlugin]]:
 
 
 def process_counter(name: str) -> _metrics.Counter:
-    """The per-plugin process-call counter (merged across pool workers)."""
+    """The per-plugin process-call counter."""
     return _metrics.counter(f"fleet.process.{name}")
 
 

@@ -1,11 +1,10 @@
 """The fleet summarization engine behind ``summarize-fleet``.
 
 One pass: refresh the incremental catalog, work out which (run,
-plugin) pairs actually need processing, fan those runs over
-:func:`repro.parallel.parallel_map` (inheriting its retry/timeout/
-pool-respawn resilience — one unreadable run directory must never sink
-a 10 000-run scan), commit the per-run rows into the datasource's
-summary tables, and render the cross-run fleet report.
+plugin) pairs actually need processing, summarize those runs one by
+one (a broken plugin or run records an error row instead of sinking
+the scan), commit the per-run rows into the datasource's summary
+tables, and render the cross-run fleet report.
 
 Incrementality is per (run, plugin):
 
@@ -17,9 +16,8 @@ Incrementality is per (run, plugin):
 
 The scan itself is a first-class observable job: it runs under
 ``fleet.*`` tracer spans, counts runs/rows/process-calls on the
-metrics registry (pool workers ship theirs back through the parallel
-protocol), and logs structured progress — so ``--trace`` on the CLI
-yields a Perfetto timeline *of the summarization*.
+metrics registry, and logs structured progress — so ``--trace`` on the
+CLI yields a Perfetto timeline *of the summarization*.
 """
 
 from __future__ import annotations
@@ -30,8 +28,7 @@ from typing import Any, Dict, List, Optional, Sequence, Union
 from ..obs import metrics as _metrics
 from ..obs.logging import get_logger, kv
 from ..obs.tracer import span as _span
-from ..parallel import parallel_map
-from .catalog import Catalog, CatalogDelta, RunRecord
+from .catalog import Catalog, RunRecord
 from .datasource import DataSource, create_datasource
 from .plugin import (
     SkipRun,
@@ -55,7 +52,7 @@ def _table_name(plugin_name: str) -> str:
 
 def _summarize_run(root: str, row: Dict[str, Any],
                    plugin_names: Sequence[str]) -> Dict[str, Dict[str, Any]]:
-    """Pool target: run the named plugins over one archived run.
+    """Run the named plugins over one archived run.
 
     Loads the run's artifacts once (leniently — partial runs yield
     rows, not crashes) and returns one committed-shape row per plugin.
@@ -107,7 +104,6 @@ class FleetSummary:
 def summarize_fleet(root: str,
                     datasource: Union[DataSource, str, None] = None,
                     plugins: Optional[Sequence[str]] = None,
-                    jobs: Optional[int] = None,
                     out_dir: Optional[str] = None,
                     write_report: bool = True) -> FleetSummary:
     """Index ``root`` and summarize the delta; returns the fleet state.
@@ -116,8 +112,7 @@ def summarize_fleet(root: str,
     :func:`~repro.fleet.datasource.create_datasource`), an open
     :class:`DataSource`, or None for the JSONL default under
     ``<root>/.fleet``.  ``plugins`` defaults to every discovered
-    summarizer.  ``jobs`` overrides the process-wide worker count for
-    the fan-out.  The fleet report lands in ``out_dir`` (default: the
+    summarizer.  The fleet report lands in ``out_dir`` (default: the
     fleet root) unless ``write_report`` is off.
     """
     own_source = not isinstance(datasource, DataSource)
@@ -153,13 +148,10 @@ def summarize_fleet(root: str,
                          reused=delta.total - len(work),
                          removed=len(delta.removed)))
 
-            # ---- fan the work over the resilient pool -----------------
-            ordered = sorted(work)
-            outputs = parallel_map(
-                _summarize_run,
-                [(root, by_id[run_id].to_row(), tuple(work[run_id]))
-                 for run_id in ordered],
-                jobs=jobs, label="fleet")
+            # ---- summarize each run that has work ---------------------
+            outputs = [_summarize_run(root, by_id[run_id].to_row(),
+                                      tuple(work[run_id]))
+                       for run_id in sorted(work)]
 
             # ---- commit rows, drop removed runs, save the catalog -----
             per_plugin: Dict[str, List[Dict[str, Any]]] = {}

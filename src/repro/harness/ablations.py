@@ -28,10 +28,9 @@ from ..mem import NodeMemoryConfig
 from ..net import Message, TorusNetwork, TorusTopology
 from ..node import OperatingMode
 from ..npb import build_benchmark, paper_ranks
-from ..parallel import parallel_map
 from ..runtime import Job, Machine
 from .report import ExperimentResult
-from .sweep import compiled_benchmark, vnm_nodes
+from .sweep import compiled_benchmark
 
 MB = 1024 * 1024
 
@@ -46,12 +45,8 @@ def _run(code: str, mem_config: NodeMemoryConfig,
 
 
 def _run_sweep(points):
-    """Run ``_run`` over (code, mem_config[, mode[, ranks]]) points.
-
-    Independent sweep points fan out over the process pool when the
-    ``--jobs`` worker count allows; results come back in point order.
-    """
-    return parallel_map(_run, points, label="ablation_points")
+    """Run ``_run`` over (code, mem_config[, mode[, ranks]]) points."""
+    return [_run(*point) for point in points]
 
 
 # ---------------------------------------------------------------------------
@@ -111,10 +106,8 @@ def ext_hybrid_modes(
         title=f"MFLOPS per chip by node mode ({ranks} ranks)",
         headers=["benchmark"] + [m.value for m in modes],
     )
-    runs = parallel_map(_hybrid_point,
-                        [(code, mode, ranks) for code in benchmarks
-                         for mode in modes],
-                        label="hybrid_points")
+    runs = [_hybrid_point(code, mode, ranks) for code in benchmarks
+            for mode in modes]
     for i, code in enumerate(benchmarks):
         row = [code] + [job.mflops_per_node()
                         for job in runs[i * len(modes):(i + 1) * len(modes)]]

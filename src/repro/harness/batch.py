@@ -21,11 +21,7 @@ This module exploits that:
   so the engine accumulates named counts into per-node ``uint64`` rows
   with ``Job.run``'s own row algebra and aggregates them through
   :meth:`~repro.core.postprocess.Aggregation.from_rows` — no UPC
-  objects, no dump files, no re-simulated members;
-* with ``--jobs N`` the per-point assembly stage fans out over the
-  pool with the heavy NumPy payloads (comm matrices, class event
-  vectors) placed in one :class:`repro.parallel.SharedArrayBlock` —
-  workers attach the block once and each task ships only a point index.
+  objects, no dump files, no re-simulated members.
 
 The engine is wired in behind :func:`repro.parallel.set_batch_sweep`
 (the ``--batch-sweep`` flag) as a :func:`repro.parallel.warm` batch
@@ -59,14 +55,7 @@ from ..node import ComputeNode, OperatingMode
 from ..obs import metrics as _metrics
 from ..obs import timeline as _timeline
 from ..obs.tracer import span as _span
-from ..parallel import (
-    SharedArrayBlock,
-    cache_context,
-    get_batch_sweep,
-    get_jobs,
-    parallel_map,
-    worker_shared,
-)
+from ..parallel import cache_context, get_batch_sweep
 from ..runtime import machine as _machine
 from ..runtime.machine import (
     JobResult,
@@ -234,35 +223,31 @@ def _resolve_comm_phases(point: PointSpec, layout: _Layout,
 
 
 # ---------------------------------------------------------------------------
-# point assembly (runs in the parent, or as a pool task per point)
+# point assembly
 # ---------------------------------------------------------------------------
 @lru_cache(maxsize=64)
 def _cached_placement(num_ranks: int, mode_name: str, num_nodes: int):
     """Block placement, shared across the points of one layout.
 
     Placement is deterministic, so every point of a layout group (and
-    every ``JobResult`` of that group) can hold the same object; the
-    worker-side cache likewise amortises it across a worker's tasks.
+    every ``JobResult`` of that group) can hold the same object.
     """
     return place_ranks(num_ranks, OperatingMode[mode_name], num_nodes)
 
 
-def _assemble_point(meta: Dict[str, Any],
-                    array_of: Callable[[str], np.ndarray]) -> JobResult:
+def _assemble_point(meta: Dict[str, Any]) -> JobResult:
     """Build one point's ``JobResult`` from the planned tables.
 
-    ``meta`` holds only small picklable values; the heavy arrays (the
-    group's comm-side counter matrix and the class event vectors) come
-    through ``array_of`` — a plain dict lookup in the serial path, a
-    shared-memory attach under the pool.
+    ``meta`` holds the group's comm-side counter matrix and, per
+    (residents, counter mode) node group, the class event vector to add
+    to those nodes' rows.
     """
     mode = OperatingMode[meta["mode"]]
     placement = _cached_placement(meta["num_ranks"], meta["mode"],
                                   meta["num_nodes"])
     used_nodes = sorted(placement.slots_by_node())
-    matrix = array_of(meta["comm_array"]).copy()
-    for vec_name, indices in meta["adds"]:
-        vec = array_of(vec_name)
+    matrix = meta["comm_rows"].copy()
+    for vec, indices in meta["adds"]:
         matrix[np.asarray(indices, dtype=np.intp)] += vec
     aggregation = Aggregation.from_rows(used_nodes, meta["node_modes"],
                                         matrix)
@@ -287,25 +272,6 @@ def _assemble_point(meta: Dict[str, Any],
         aggregation=aggregation,
         dump_io_cycles=meta["dump_io"],
     )
-
-
-#: Worker-side cache of the attached shared block (one per batch; the
-#: mapping lives until the pool retires the worker).
-_ATTACHED: Dict[str, SharedArrayBlock] = {}
-
-
-def _assemble_point_task(index: int) -> JobResult:
-    """Pool target: assemble one point from the shared batch tables."""
-    payload = worker_shared()
-    header = payload["header"]
-    block = _ATTACHED.get(header["block"])
-    if block is None:
-        for stale in _ATTACHED.values():  # a previous batch's mapping
-            stale.close()
-        _ATTACHED.clear()
-        block = SharedArrayBlock.attach(header)
-        _ATTACHED[header["block"]] = block
-    return _assemble_point(payload["metas"][index], block.array)
 
 
 # ---------------------------------------------------------------------------
@@ -383,8 +349,7 @@ def run_points(points: Sequence[PointSpec]) -> List[JobResult]:
         groups: Dict[Tuple, Dict[str, Any]] = {}
         class_owner: Dict[Tuple, int] = {}
         metas: List[Dict[str, Any]] = []
-        arrays: Dict[str, np.ndarray] = {}
-        vec_names: Dict[Tuple[Tuple, int], str] = {}
+        vectors: Dict[Tuple[Tuple, int], np.ndarray] = {}
         for p_index, point in enumerate(points):
             lkey = (point.num_ranks, point.mode.name, point.num_nodes)
             layout = layouts[lkey]
@@ -402,8 +367,7 @@ def run_points(points: Sequence[PointSpec]) -> List[JobResult]:
                     comm_cycles += phase.cycles_per_rank
                 node_modes = _node_counter_modes(layout.used_nodes,
                                                  point.counter_modes)
-                comm_array = f"comm{len(groups)}"
-                arrays[comm_array] = _comm_rows(
+                comm_rows = _comm_rows(
                     layout.used_nodes, layout.residents, node_modes,
                     phases, int(round(comm_cycles)), point.mode)
                 # node indices that share one (residents, counter-mode)
@@ -413,7 +377,7 @@ def run_points(points: Sequence[PointSpec]) -> List[JobResult]:
                     pair = (layout.residents[i], node_modes[i])
                     index_groups.setdefault(pair, []).append(i)
                 group = groups[gkey] = {
-                    "comm_array": comm_array,
+                    "comm_rows": comm_rows,
                     "comm_cycles": comm_cycles,
                     "node_modes": node_modes,
                     "index_groups": index_groups,
@@ -439,24 +403,22 @@ def run_points(points: Sequence[PointSpec]) -> List[JobResult]:
                         # point just persisted is a tier hit per point
                         _CLASS_TIER_HITS.inc()
 
-            adds: List[Tuple[str, List[int]]] = []
+            adds: List[Tuple[np.ndarray, List[int]]] = []
             for (residents, counter_mode), indices in (
                     group["index_groups"].items()):
                 key = by_residents[residents]
-                vec_name = vec_names.get((key, counter_mode))
-                if vec_name is None:
-                    vec_name = f"vec{len(vec_names)}"
-                    vec_names[(key, counter_mode)] = vec_name
-                    arrays[vec_name] = _counts_to_row(
+                vec = vectors.get((key, counter_mode))
+                if vec is None:
+                    vec = vectors[(key, counter_mode)] = _counts_to_row(
                         class_results[key][1], counter_mode)
-                adds.append((vec_name, indices))
+                adds.append((vec, indices))
             metas.append({
                 "program_name": point.program.name,
                 "flags_label": point.program.flags_label,
                 "mode": point.mode.name,
                 "num_ranks": point.num_ranks,
                 "num_nodes": point.num_nodes,
-                "comm_array": group["comm_array"],
+                "comm_rows": group["comm_rows"],
                 "comm_cycles": group["comm_cycles"],
                 "node_modes": group["node_modes"],
                 "dump_io": group["dump_io"],
@@ -468,7 +430,7 @@ def run_points(points: Sequence[PointSpec]) -> List[JobResult]:
 
         # ---- stage 4: assemble every point ----------------------------
         with _span("batch.assemble", points=len(points)):
-            results = _assemble_all(metas, arrays)
+            results = [_assemble_point(meta) for meta in metas]
         sweep_span.set("classes", len(class_specs))
         sweep_span.set("stacked", len(pending))
     return results
@@ -533,31 +495,6 @@ def _simulate_classes(pending: Sequence[Tuple],
                                     plans[i], compute)
         class_results[key] = (result.process_cycles, result.events)
         _NODE_RUNS.inc()
-
-
-def _assemble_all(metas: List[Dict[str, Any]],
-                  arrays: Dict[str, np.ndarray]) -> List[JobResult]:
-    """Assemble all points, fanning out over the pool when allowed.
-
-    Under the pool the arrays move through one shared-memory block:
-    the initializer payload carries the attach header plus the small
-    metas, and each task pickles a bare index — no NumPy bytes cross
-    the result pipe in either direction except the final statistics.
-    """
-    if get_jobs() > 1 and len(metas) > 1:
-        block = SharedArrayBlock.create(
-            [(name, arr.shape, arr.dtype) for name, arr in arrays.items()])
-        try:
-            for name, arr in arrays.items():
-                block.array(name)[...] = arr
-            return parallel_map(
-                _assemble_point_task,
-                [(index,) for index in range(len(metas))],
-                label="batch_points",
-                shared={"header": block.header(), "metas": metas})
-        finally:
-            block.unlink()
-    return [_assemble_point(meta, arrays.__getitem__) for meta in metas]
 
 
 # ---------------------------------------------------------------------------

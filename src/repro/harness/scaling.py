@@ -23,13 +23,12 @@ from ..compiler import O5, compile_program
 from ..core.interface import OVERHEAD_TOTAL_CYCLES
 from ..node import OperatingMode
 from ..npb import build_benchmark
-from ..parallel import parallel_map
 from ..runtime import Job, JobResult, Machine
 from .report import ExperimentResult
 
 
 def _scaling_point(code: str, ranks: int) -> JobResult:
-    """One strong-scaling point (module-level so it can pool out)."""
+    """One strong-scaling point."""
     nodes = -(-ranks // 4)
     program = compile_program(build_benchmark(code, num_ranks=ranks),
                               O5())
@@ -49,9 +48,7 @@ def ext_scaling(code: str = "MG",
                  "comm %", "overhead cyc/node", "dump I/O (Kcyc)",
                  "aggregate (ms)", "events monitored"],
     )
-    jobs = parallel_map(_scaling_point,
-                        [(code, ranks) for ranks in rank_counts],
-                        label="scaling_points")
+    jobs = [_scaling_point(code, ranks) for ranks in rank_counts]
     base_elapsed = None
     for ranks, job in zip(rank_counts, jobs):
         nodes = -(-ranks // 4)

@@ -3,18 +3,17 @@
 The run helpers here are memoized through
 :class:`repro.parallel.MemoizedFunction`, so a figure runner that needs
 the same (benchmark, flags, L3) point as an earlier figure gets it for
-free — and, when the process-wide worker count is above 1 (the
-``--jobs N`` CLI flag), the :func:`warm_runs` / :func:`warm_pairs`
-helpers pre-fill those caches by fanning the missing sweep points out
-over a process pool.  With one worker nothing is pre-computed and every
-consumer takes the exact serial code path, keeping results
-byte-identical to a pre-pool run.
+free — and, when the cross-point batched sweep engine is on (the
+``--batch-sweep`` CLI flag), the :func:`warm_runs` / :func:`warm_pairs`
+helpers pre-fill those caches with every missing sweep point in one
+stacked pass.  Otherwise nothing is pre-computed and every consumer
+takes the per-point path; both give byte-identical results.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 from ..checkpoint import CheckpointStore
 from ..compiler import FlagSet, Program, compile_program
@@ -176,8 +175,8 @@ def attach_resume(directory) -> CheckpointStore:
 
     From here on, each completed sweep point is persisted atomically as
     it finishes, and cache misses consult the store before simulating —
-    so a run interrupted by SIGINT or a dead worker picks up where it
-    left off when restarted with the same directory.  Returns the store
+    so a run interrupted by SIGINT or a killed process picks up where
+    it left off when restarted with the same directory.  Returns the store
     (the CLI also checkpoints whole experiment results into it).
     """
     store = CheckpointStore(directory)
@@ -194,10 +193,10 @@ def detach_resume() -> None:
 # ---------------------------------------------------------------------------
 # cross-point batched engine (the --batch-sweep layer)
 # ---------------------------------------------------------------------------
-# each runner's warm() fan-out can be replaced by one stacked pass over
-# all missing points; the handlers decline (and warm falls back to the
-# per-point path) whenever fault injection, sampling or marker regions
-# make the batched clean-run semantics inapplicable
+# each runner's warm() evaluates all missing points in one stacked
+# pass; the handlers decline (and the consumers take the per-point
+# path) whenever fault injection, sampling or marker regions make the
+# batched clean-run semantics inapplicable
 from . import batch as _batch  # noqa: E402  (import cycle: batch uses us lazily)
 
 run_vnm.attach_batch(_batch.vnm_batch)

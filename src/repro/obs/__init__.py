@@ -21,14 +21,9 @@ Artifacts a traced run exports:
 One registry per process
 ------------------------
 The tracer slot, the metrics :data:`REGISTRY`, and the timeline
-recorder are **process-global**.  A :func:`repro.parallel.parallel_map`
-pool worker therefore records into *its own* globals, which die with
-the worker; the pool protocol compensates by shipping each task's
-instrument state (``metrics.dump_state()``) and finished spans back
-with the result, and merging them into the parent's registry/tracer
-(``metrics.merge_state()`` / ``Tracer.absorb``).  Code that builds its
-own private :class:`MetricsRegistry`/:class:`Tracer` is outside that
-protocol and will not survive the process boundary.
+recorder are **process-global**.  Every simulation runs in the process
+that asks for it, so everything it records lands in these globals
+directly; nothing is shipped between processes.
 """
 
 from . import logging, metrics, tracer

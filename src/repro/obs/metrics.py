@@ -185,54 +185,6 @@ class MetricsRegistry:
         os.replace(tmp, path)
         return path
 
-    # ------------------------------------------------------------------
-    # cross-process shipping (pool workers -> parent)
-    # ------------------------------------------------------------------
-    def dump_state(self) -> Dict[str, object]:
-        """Full instrument state as a picklable dict.
-
-        Unlike :meth:`snapshot` this includes histogram reservoirs, so
-        a pool worker can ship its per-task instrument state back to
-        the parent for :meth:`merge_state` without losing tails.
-        """
-        return {
-            "counters": {n: c.value for n, c in self.counters.items()
-                         if c.value},
-            "gauges": {n: g.value for n, g in self.gauges.items()
-                       if g.value},
-            "histograms": {
-                n: {"count": h.count, "total": h.total,
-                    "min": h.min, "max": h.max,
-                    "samples": list(h._samples), "stride": h._stride}
-                for n, h in self.histograms.items() if h.count},
-        }
-
-    def merge_state(self, state: Dict[str, object]) -> None:
-        """Merge a worker's :meth:`dump_state` into this registry.
-
-        Counters add, gauges take the shipped value (last-write-wins,
-        matching their in-process semantics), histograms combine their
-        summary stats and pool their reservoirs (decimating back under
-        the cap if the union overflows).
-        """
-        for name, value in state.get("counters", {}).items():
-            self.counter(name).inc(value)
-        for name, value in state.get("gauges", {}).items():
-            self.gauge(name).set(value)
-        for name, shipped in state.get("histograms", {}).items():
-            hist = self.histogram(name)
-            hist.count += shipped["count"]
-            hist.total += shipped["total"]
-            if shipped["min"] < hist.min:
-                hist.min = shipped["min"]
-            if shipped["max"] > hist.max:
-                hist.max = shipped["max"]
-            hist._samples = hist._samples + list(shipped["samples"])
-            hist._stride = max(hist._stride, int(shipped["stride"]))
-            while len(hist._samples) >= Histogram.MAX_SAMPLES:
-                hist._samples = hist._samples[::2]
-                hist._stride *= 2
-
 
 #: The process-global registry the instrumented modules bind against.
 REGISTRY = MetricsRegistry()
@@ -261,13 +213,3 @@ def reset(registry: Optional[MetricsRegistry] = None) -> None:
 def snapshot() -> Dict[str, Dict[str, object]]:
     """Snapshot of the global registry."""
     return REGISTRY.snapshot()
-
-
-def dump_state() -> Dict[str, object]:
-    """Picklable full state of the global registry (for pool workers)."""
-    return REGISTRY.dump_state()
-
-
-def merge_state(state: Dict[str, object]) -> None:
-    """Merge a shipped worker state into the global registry."""
-    REGISTRY.merge_state(state)

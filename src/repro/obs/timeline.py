@@ -228,8 +228,9 @@ class NodeTimelineSampler:
 
         The branch starts where this sampler stands: the samples taken
         so far become the member's (shared, read-only) base series, the
-        counter values and last-sample values are copied, and alerts
-        raised so far are re-labelled with the member's node id.
+        counter values and last-sample values are copied, and every
+        alert so far, inherited ones included, is re-labelled with the
+        member's node id.
         Feeding both the original and the branch the same subsequent
         phases yields byte-identical per-node series.
         """
@@ -252,9 +253,8 @@ class NodeTimelineSampler:
                 for name, series in self._series.items()}
         twin._base_series = self._branch_series
         twin._branch_series = None
-        twin._base_alerts = (self._base_alerts
-                             + [replace(a, node_id=node_id)
-                                for a in self.alerts])
+        twin._base_alerts = [replace(a, node_id=node_id)
+                             for a in self._base_alerts + self.alerts]
         twin.phases = list(self.phases)
         return twin
 

@@ -164,48 +164,6 @@ class Tracer:
             n += 1
         return n
 
-    def absorb(self, span_dicts: List[Dict[str, Any]],
-               worker: Optional[str] = None) -> int:
-        """Graft spans shipped from a pool worker into this trace.
-
-        Workers record against their own epoch, so the shipped spans
-        are time-shifted to *end* at this tracer's current moment (the
-        instant the worker's result arrived).  Ids are remapped to stay
-        unique; internal parent links are preserved; shipped roots are
-        parented under the innermost open span here, which is exactly
-        the ``parallel.map`` span awaiting the result.  Returns the
-        number of spans absorbed.
-        """
-        if not span_dicts:
-            return 0
-        parent = self._open[-1] if self._open else None
-        latest_end = max((d["ts_us"] + (d["dur_us"] or 0.0))
-                         for d in span_dicts)
-        offset = self._now_us() - latest_end
-        base_depth = parent.depth + 1 if parent else 0
-        id_map: Dict[int, int] = {}
-        for d in span_dicts:
-            id_map[d["id"]] = self._next_id
-            self._next_id += 1
-        for d in span_dicts:
-            attrs = dict(d.get("attrs") or {})
-            if worker:
-                attrs.setdefault("worker", worker)
-            span = Span(self, d["name"],
-                        span_id=id_map[d["id"]],
-                        parent_id=(id_map.get(d["parent"],
-                                              parent.span_id if parent
-                                              else None)
-                                   if d["parent"] is not None
-                                   else (parent.span_id if parent
-                                         else None)),
-                        depth=base_depth + d.get("depth", 0),
-                        start_us=d["ts_us"] + offset,
-                        attrs=attrs)
-            span.dur_us = d["dur_us"] or 0.0
-            self.spans.append(span)
-        return len(span_dicts)
-
     # ------------------------------------------------------------------
     # summaries and exporters
     # ------------------------------------------------------------------

@@ -51,12 +51,7 @@ from .. import markers as _markers
 from ..obs import metrics as _metrics
 from ..obs import timeline as _timeline
 from ..obs.tracer import span as _span
-from ..parallel import (
-    cache_context,
-    get_jobs,
-    parallel_map,
-    worker_shared,
-)
+from ..parallel import cache_context
 from .mpi import CommResult, SimMPI
 from .process import JobPlacement, place_ranks
 
@@ -289,24 +284,6 @@ class _NodeRow:
     def pulse_events(self, events: Dict[str, int]) -> None:
         """Deliver named event pulses to the row (mode-gated)."""
         self.row += _counts_to_row(events, self.mode)
-
-
-def _simulate_node_class_shared(residents: int
-                                ) -> Tuple[List[float], Dict[str, int]]:
-    """Pool target: simulate one node class from hoisted batch context.
-
-    The class context that is invariant across one job's fan-out — the
-    operating mode, the memory configuration and the lowered program
-    work — is shipped once per worker via ``parallel_map(shared=...)``
-    and read back here, so each task's pickled payload is just the
-    resident count (a few dozen bytes instead of the multi-kilobyte
-    lowered program; ``BENCH_sweep_batch.json`` records the before and
-    after sizes).  The engine switches travel in the same initializer.
-    """
-    mode, mem_config, work = worker_shared()
-    node = ComputeNode(node_id=0, mode=mode, mem_config=mem_config)
-    result = node.run([work] * residents)
-    return result.process_cycles, result.events
 
 
 @dataclass
@@ -569,23 +546,14 @@ class Job:
                         _CLASS_TIER_HITS.inc()
                     else:
                         pending.append(key)
-            if get_jobs() > 1 and len(pending) > 1:
-                # fan the distinct classes out over the process pool
-                outs = parallel_map(
-                    _simulate_node_class_shared,
-                    [(key[0],) for key in pending],
-                    label="node_classes",
-                    shared=(machine.mode, machine.mem_config, work))
-                class_results.update(zip(pending, outs))
-            else:
-                for key in pending:
-                    # the class representative is its first member
-                    representative = ComputeNode(
-                        node_id=classes[key], mode=machine.mode,
-                        mem_config=machine.mem_config)
-                    result = representative.run([work] * key[0])
-                    class_results[key] = (result.process_cycles,
-                                          result.events)
+            for key in pending:
+                # the class representative is its first member
+                representative = ComputeNode(
+                    node_id=classes[key], mode=machine.mode,
+                    mem_config=machine.mem_config)
+                result = representative.run([work] * key[0])
+                class_results[key] = (result.process_cycles,
+                                      result.events)
             if tier is not None:
                 for key in pending:
                     cycles, events = class_results[key]

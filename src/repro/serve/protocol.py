@@ -5,7 +5,7 @@ sweep points, each naming a benchmark, compiler flag set, L3 size,
 problem class and placement kind) or an *experiment* (one id from the
 paper-figure catalog).  Everything is validated here, before any
 simulation work is scheduled: unknown benchmarks, flag sets, modes or
-experiment ids are a 400, never a worker crash.
+experiment ids are a 400, never a crash mid-simulation.
 
 Caching contract: every valid request has a **canonical form** — a
 minimal, key-sorted JSON document — and its cache key is that document

@@ -3,10 +3,9 @@
 An asyncio HTTP/1.1 server speaking the thin JSON protocol of
 :mod:`repro.serve.protocol`.  Simulation is CPU-bound and synchronous,
 so request bodies are validated on the event loop and the actual work
-runs on a thread pool; within one request, sweep points shard across
-the existing :func:`repro.parallel.parallel_map` process pools (the
-``--jobs N`` worker count), exactly as the offline CLI does — which is
-what keeps served responses byte-identical to ``python -m repro``.
+runs on a thread pool, through the same memoized sweep runners the
+offline CLI uses — which is what keeps served responses byte-identical
+to ``python -m repro``.
 
 Every response is keyed into the process-wide shared cache tier
 (:class:`repro.checkpoint.SharedCacheTier`) under its canonical,
@@ -46,7 +45,6 @@ from ..parallel import (
     get_batch_sweep,
     get_vectorize,
     set_batch_sweep,
-    set_jobs,
     warm,
 )
 from .protocol import (
@@ -104,7 +102,6 @@ class ServeConfig:
     cache_dir: str = ".repro-cache"
     max_records: int = 4096
     max_bytes: int = 512 * 1024 * 1024
-    jobs: int = 1                    #: parallel_map worker processes
     max_active: int = 4              #: concurrently simulating requests
     telemetry_dir: Optional[str] = None
     batch_sweep: bool = False        #: cross-point batched sweep engine
@@ -114,10 +111,10 @@ class ServeConfig:
 def _execute_sweep(request: SweepRequest) -> Dict[str, Any]:
     """Run every point of one sweep request (thread-pool target).
 
-    The memoized sweep runners are the unit of sharding: missing
-    points warm over the process pool first (a no-op at one worker),
-    then each point is collected in request order from the caches —
-    the identical code path the offline harness takes.
+    The memoized sweep runners are the unit of work: missing points
+    warm in one batched pass first (a no-op unless the batched sweep
+    engine is on), then each point is collected in request order from
+    the caches — the identical code path the offline harness takes.
     """
     warm(run_vnm, [(p.code, p.flag_set(), p.l3_mb, p.problem_class)
                    for p in request.points if p.kind == "vnm"])
@@ -198,7 +195,6 @@ class SimulationService:
 
     async def _serve(self) -> None:
         config = self.config
-        set_jobs(config.jobs)
         if config.batch_sweep:
             set_batch_sweep(True)
         self.tier = _checkpoint.install_shared_tier(
@@ -226,7 +222,7 @@ class SimulationService:
             self._handle_connection, config.host, config.port)
         self._bound_port = server.sockets[0].getsockname()[1]
         _log.info(kv("serve.listening", host=config.host,
-                     port=self._bound_port, jobs=config.jobs,
+                     port=self._bound_port,
                      cache_dir=config.cache_dir))
         self._ready.set()
         try:
@@ -375,8 +371,7 @@ class SimulationService:
         return {"ok": True, "protocol": PROTOCOL_VERSION,
                 "group": get_active_group_name(),
                 "vectorize": get_vectorize(),
-                "batch_sweep": get_batch_sweep(),
-                "jobs": self.config.jobs}
+                "batch_sweep": get_batch_sweep()}
 
     def _stats(self) -> Dict[str, Any]:
         usage = self.tier.usage() if self.tier is not None else {}

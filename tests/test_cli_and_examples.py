@@ -45,6 +45,26 @@ def test_cli_rejects_unknown():
         run_cli("fig99")
 
 
+def test_cli_and_service_import_no_process_pool():
+    """Every simulation runs in the calling process: importing the CLI
+    and the service loads neither multiprocessing nor the process-pool
+    executor."""
+    import os
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = ("import sys, repro.__main__, repro.serve.server; "
+             "print(sorted(m for m in ('multiprocessing', "
+             "'concurrent.futures.process') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_validate_harness_wrapper():
     result = model_validation(benchmarks=("EP", "MG"))
     assert result.summary["agrees_EP"] == 1.0

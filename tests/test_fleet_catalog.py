@@ -96,7 +96,7 @@ def test_incremental_rescan_reprocesses_exactly_the_delta(tmp_path):
     """
     corpus = tmp_path / "corpus"
     runs = _corpus(corpus)
-    summarize_fleet(str(corpus), jobs=1, write_report=False)
+    summarize_fleet(str(corpus), write_report=False)
 
     write_synthetic_run(str(corpus), "run-new", cycles=5_000_000)
     write_synthetic_run(str(corpus), "run-00", cycles=7_777_777)
@@ -106,7 +106,7 @@ def test_incremental_rescan_reprocesses_exactly_the_delta(tmp_path):
     os.rmdir(runs[2])
 
     before = _process_counts()
-    summary = summarize_fleet(str(corpus), jobs=1, write_report=False)
+    summary = summarize_fleet(str(corpus), write_report=False)
     calls = {name: process_counter(name).value - before[name]
              for name in before}
     assert summary.delta == {"added": 1, "changed": 1, "unchanged": 2,
@@ -117,7 +117,7 @@ def test_incremental_rescan_reprocesses_exactly_the_delta(tmp_path):
     # the incremental state must be indistinguishable from starting over
     mirror = tmp_path / "mirror"
     scratch = summarize_fleet(
-        str(corpus), datasource=f"jsonl:{mirror}", jobs=1,
+        str(corpus), datasource=f"jsonl:{mirror}",
         write_report=False)
     with JsonlDataSource(str(corpus / ".fleet" / "tables")) as a, \
             JsonlDataSource(str(mirror)) as b:
@@ -127,10 +127,10 @@ def test_incremental_rescan_reprocesses_exactly_the_delta(tmp_path):
 
 def test_rescan_after_adding_one_run_processes_one_run(tmp_path):
     _corpus(tmp_path, count=3)
-    summarize_fleet(str(tmp_path), jobs=1, write_report=False)
+    summarize_fleet(str(tmp_path), write_report=False)
     write_synthetic_run(str(tmp_path), "run-late")
     before = _process_counts()
-    summary = summarize_fleet(str(tmp_path), jobs=1, write_report=False)
+    summary = summarize_fleet(str(tmp_path), write_report=False)
     assert summary.delta["added"] == 1
     assert summary.delta["unchanged"] == 3
     assert {n: process_counter(n).value - before[n]
@@ -140,4 +140,4 @@ def test_rescan_after_adding_one_run_processes_one_run(tmp_path):
 def test_unknown_plugin_fails_before_scanning(tmp_path):
     _corpus(tmp_path, count=1)
     with pytest.raises(KeyError, match="unknown summarizer"):
-        summarize_fleet(str(tmp_path), plugins=["nope"], jobs=1)
+        summarize_fleet(str(tmp_path), plugins=["nope"])

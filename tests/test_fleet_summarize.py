@@ -11,7 +11,7 @@ from repro.fleet import (
     generate_corpus,
     summarize_fleet,
 )
-from repro.fleet.plugin import discover_plugins, process_counter
+from repro.fleet.plugin import discover_plugins
 from repro.runtime.machine import clear_comm_cache
 
 RUNS = 6
@@ -40,7 +40,7 @@ def test_corpus_layout(corpus):
 
 def test_summarize_fleet_full_pass(corpus, tmp_path):
     summary = summarize_fleet(
-        str(corpus), datasource=f"jsonl:{tmp_path / 'ds'}", jobs=1,
+        str(corpus), datasource=f"jsonl:{tmp_path / 'ds'}",
         out_dir=str(tmp_path))
     assert summary.delta["added"] == RUNS
     assert set(summary.plugins) >= {"cpi", "flops", "l3", "ddr",
@@ -88,7 +88,7 @@ def test_group_rows_match_legacy_formulas(corpus, tmp_path):
     from repro.isa import CORE_CLOCK_HZ
 
     summary = summarize_fleet(
-        str(corpus), datasource=f"jsonl:{tmp_path / 'ds'}", jobs=1,
+        str(corpus), datasource=f"jsonl:{tmp_path / 'ds'}",
         write_report=False)
 
     def load(run):
@@ -162,28 +162,14 @@ def test_backends_agree_byte_for_byte(corpus, tmp_path):
     jsonl_dir = str(tmp_path / "jsonl")
     sqlite_path = str(tmp_path / "fleet.sqlite")
     summarize_fleet(str(corpus), datasource=f"jsonl:{jsonl_dir}",
-                    jobs=1, write_report=False)
+                    write_report=False)
     summarize_fleet(str(corpus), datasource=f"sqlite:{sqlite_path}",
-                    jobs=1, write_report=False)
+                    write_report=False)
     with create_datasource(f"jsonl:{jsonl_dir}") as a, \
             create_datasource(f"sqlite:{sqlite_path}") as b:
         dump = a.dump_canonical()
         assert dump == b.dump_canonical()
         assert dump.count("\n") >= RUNS * 8  # catalog + 7 plugin tables
-
-
-def test_pool_fanout_matches_serial_and_ships_counters(corpus, tmp_path):
-    before = process_counter("cpi").value
-    pooled = summarize_fleet(
-        str(corpus), datasource=f"jsonl:{tmp_path / 'pooled'}", jobs=2,
-        write_report=False)
-    # per-plugin process counters are shipped back from pool workers
-    assert process_counter("cpi").value - before == RUNS
-    serial = summarize_fleet(
-        str(corpus), datasource=f"jsonl:{tmp_path / 'serial'}", jobs=1,
-        write_report=False)
-    assert pooled.tables == serial.tables
-    assert pooled.report == serial.report
 
 
 def test_third_party_plugin_module_via_env(corpus, tmp_path,
@@ -202,7 +188,7 @@ def test_third_party_plugin_module_via_env(corpus, tmp_path,
     discover_plugins(extra_modules=("myplugins",))
     summary = summarize_fleet(
         str(corpus), datasource=f"jsonl:{tmp_path / 'ds'}",
-        plugins=["nodecount"], jobs=1, write_report=False)
+        plugins=["nodecount"], write_report=False)
     rows = summary.tables["nodecount"]
     assert len(rows) == RUNS
     assert all(row["nodes"] >= 2 for row in rows

@@ -25,25 +25,17 @@ from repro.checkpoint import (
 from repro.compiler import O3, O5
 from repro.groups import set_active_group
 from repro.harness import (
-    PointSpec,
     attach_runner_store,
     clear_caches,
     detach_resume,
     pin_figure_working_set,
-    run_points,
 )
 from repro.harness.batch import available, figure_working_set
 from repro.harness.experiments import fig11_l3_sweep
 from repro.harness.sweep import run_scaled_vnm, run_smp1, run_vnm
-from repro.node import OperatingMode
 from repro.obs import metrics as _metrics
 from repro.obs import timeline as obs_timeline
-from repro.parallel import (
-    set_batch_sweep,
-    set_jobs,
-    set_vectorize,
-    warm,
-)
+from repro.parallel import set_batch_sweep, set_vectorize, warm
 
 KERNELS = ("cg", "mg", "ft", "lu", "sp", "is", "ep", "bt")
 
@@ -55,7 +47,6 @@ def _isolate():
     yield
     set_batch_sweep(False)
     set_vectorize(True)
-    set_jobs(1)
     detach_resume()
     set_active_group("BGP_BASE")
     _markers.clear()
@@ -130,19 +121,6 @@ def test_group_context_identity():
     set_batch_sweep(False)
     oracle = _run_calls(calls)
     assert batched == oracle
-
-
-def test_run_points_pool_fanout_identity():
-    """jobs > 1 shards assembly over shared memory; results identical."""
-    points = []
-    for code in ("cg", "ft"):
-        for l3_mb in (0, 8):
-            points.append(PointSpec.for_vnm(code, O5(), l3_mb, "A"))
-    points.append(PointSpec.for_scaled("sp", O5(), 9, 4, "S"))
-    serial = [_fingerprint(r) for r in run_points(points)]
-    set_jobs(3)
-    fanned = [_fingerprint(r) for r in run_points(points)]
-    assert serial == fanned
 
 
 def test_experiment_csv_and_report_byte_identity(tmp_path):
@@ -296,8 +274,8 @@ def test_available_gating():
 
 
 def test_warm_falls_back_when_engine_unavailable():
-    """A declined batch at one worker is a no-op warm; the per-point
-    path then computes the exact same result."""
+    """A declined batch is a no-op warm; the per-point path then
+    computes the exact same result."""
     set_batch_sweep(True)
     obs_timeline.install_sampling(50_000)
     try:

@@ -112,48 +112,6 @@ def test_histogram_percentiles_with_one_sample():
     assert d["count"] == 1 and d["min"] == d["max"] == 7.5
 
 
-# ---------------------------------------------------------------------------
-# cross-process state shipping (the pool-worker merge protocol)
-# ---------------------------------------------------------------------------
-def test_dump_and_merge_state_counters_add_gauges_overwrite():
-    worker = MetricsRegistry()
-    worker.counter("tasks").inc(3)
-    worker.gauge("depth").set(2.5)
-    parent = MetricsRegistry()
-    parent.counter("tasks").inc(1)
-    parent.merge_state(worker.dump_state())
-    assert parent.counter("tasks").value == 4
-    assert parent.gauge("depth").value == 2.5
-
-
-def test_merge_state_combines_histograms_including_tails():
-    worker = MetricsRegistry()
-    parent = MetricsRegistry()
-    for v in (1.0, 2.0, 3.0):
-        parent.histogram("lat").observe(v)
-    for v in (100.0, 200.0):
-        worker.histogram("lat").observe(v)
-    parent.merge_state(worker.dump_state())
-    h = parent.histogram("lat")
-    assert h.count == 5
-    assert h.total == 306.0
-    assert h.min == 1.0 and h.max == 200.0
-    assert h.percentile(99) == 200.0  # worker tail visible in parent
-
-
-def test_merge_state_roundtrips_through_pickle():
-    import pickle
-
-    worker = MetricsRegistry()
-    worker.counter("n").inc(2)
-    worker.histogram("h").observe(7.0)
-    state = pickle.loads(pickle.dumps(worker.dump_state()))
-    parent = MetricsRegistry()
-    parent.merge_state(state)
-    assert parent.counter("n").value == 2
-    assert parent.histogram("h").to_dict()["p50"] == 7.0
-
-
 def test_get_or_create_returns_same_instance():
     r = MetricsRegistry()
     assert r.counter("a") is r.counter("a")

@@ -156,6 +156,11 @@ def test_branch_of_branch_matches_oracle():
         chains.append([s.finish() for s in (sampler, child, grandchild)])
     fast, oracle = chains
     assert [_frozen(n) for n in fast] == [_frozen(n) for n in oracle]
+    for root, child, grandchild in chains:
+        # every alert, inherited ones included, carries its own node id
+        assert root.alerts and {a.node_id for a in root.alerts} == {0}
+        assert {a.node_id for a in child.alerts} == {3}
+        assert {a.node_id for a in grandchild.alerts} == {4}
 
 
 def test_negative_span_raises_and_leaves_state():

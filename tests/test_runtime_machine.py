@@ -214,20 +214,3 @@ def test_legacy_engine_bypasses_comm_cache(small_mg, tmp_path):
 
     _run_engine(small_mg, tmp_path, "bypass", memoize=False)
     assert _COMM_CACHE == {}
-
-
-def test_pool_engine_matches_serial_exactly(small_mg, tmp_path):
-    """--jobs 4 fans node classes over a process pool; results are
-    byte-identical to the serial engine."""
-    from repro.parallel import get_jobs, set_jobs
-
-    serial = _run_engine(small_mg, tmp_path, "serial", memoize=True)
-    before = get_jobs()
-    set_jobs(4)
-    try:
-        pooled = _run_engine(small_mg, tmp_path, "pooled", memoize=True)
-    finally:
-        set_jobs(before)
-    assert _dump_bytes(pooled) == _dump_bytes(serial)
-    assert pooled.elapsed_cycles == serial.elapsed_cycles
-    assert pooled.scaled_totals() == serial.scaled_totals()

@@ -18,7 +18,6 @@ from repro import checkpoint as checkpoint_mod
 from repro.compiler import O5
 from repro.harness.sweep import clear_caches, detach_resume, run_vnm
 from repro.obs import metrics
-from repro.parallel import set_jobs
 from repro.serve import (
     RequestError,
     ServeClient,
@@ -35,16 +34,14 @@ from repro.serve.protocol import ExperimentRequest
 
 @pytest.fixture(autouse=True)
 def isolated_state():
-    """Cold caches, no stores, serial jobs, before and after."""
+    """Cold caches and no stores, before and after."""
     detach_resume()
     clear_caches()
     checkpoint_mod.uninstall_shared_tier()
-    set_jobs(1)
     yield
     detach_resume()
     clear_caches()
     checkpoint_mod.uninstall_shared_tier()
-    set_jobs(1)
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +317,21 @@ def test_offline_shared_cache_reuses_sweep_points(tmp_path):
     assert metrics.counter("checkpoint.tier.hits").value > hits
     # the CLI detached cleanly: no tier bleeds into later runs
     assert checkpoint_mod.get_shared_tier() is None
+
+
+def test_cli_serve_accepts_only_jobs_1(monkeypatch, capsys):
+    """``serve --jobs 1`` still parses, since launch scripts pass it;
+    any other count is a usage error: simulations run in-process."""
+    started = []
+    monkeypatch.setattr(SimulationService, "run",
+                        lambda self: started.append(self.config) or 0)
+    assert _run_cli("serve", "--port", "0", "--jobs", "1", "-q")[0] == 0
+    assert len(started) == 1
+    with pytest.raises(SystemExit) as excinfo:
+        _run_cli("serve", "--port", "0", "--jobs", "2", "-q")
+    assert excinfo.value.code == 2
+    assert "invalid choice: 2" in capsys.readouterr().err
+    assert len(started) == 1
 
 
 def test_cli_rejects_shared_cache_with_faults(tmp_path):

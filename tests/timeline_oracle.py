@@ -133,9 +133,8 @@ class OracleNodeSampler:
                 for name, series in self.monitor.series.items()}
         twin._base_series = self._branch_series
         twin._branch_series = None
-        twin._base_alerts = (self._base_alerts
-                             + [replace(a, node_id=node_id)
-                                for a in self.alerts])
+        twin._base_alerts = [replace(a, node_id=node_id)
+                             for a in self._base_alerts + self.alerts]
         twin.phases = list(self.phases)
         return twin
 
